@@ -32,6 +32,7 @@ from .mahonian import (
     BallSize,
     SphereTable,
     ball_closed_form,
+    ball_count,
     ball_size,
     build_table,
     max_distance,
@@ -90,6 +91,7 @@ __all__ = [
     "BallSize",
     "SphereTable",
     "ball_closed_form",
+    "ball_count",
     "ball_size",
     "build_table",
     "max_distance",

@@ -32,14 +32,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .mahonian import (
-    BALL_FORM_MIN_N,
-    SphereTable,
-    ball_closed_form,
-    ball_size,
-    build_table,
-    max_distance,
-)
+from .mahonian import BALL_FORM_MIN_N, ball_count, max_distance
+
+# Not used here: the benchmark's per-layer tracer wraps these names at this site.
+from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
 from .numtheory import (
     MAX_FACTORIAL_N,
     DEFAULT_RHO_BUDGET,
@@ -83,34 +79,32 @@ class Certificate:
     degraded: bool = False
 
 
-def ball_value(
-    n: int,
-    t: int,
-    table: Optional[SphereTable] = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> int:
-    """B(n, t) by the cheapest exact route.
+def _check_table_cap(n: int, t: int, table_cap: int) -> None:
+    """Refuse balls beyond the closed forms' reach for n above ``table_cap``.
 
-    Radii at most 5 use the closed forms for any n at or above their
-    validity threshold; everything else comes from the recurrence table,
-    which is built on demand up to ``table_cap``.  Radii beyond the
-    diameter clamp to the whole group.
+    That reach is radius at most 5 at or above each form's validity
+    threshold; the cap keeps the O(min(n, t) * t) work of larger radii
+    bounded.
+    """
+    r = min(t, max_distance(n))
+    if n > table_cap and (r > 5 or n < BALL_FORM_MIN_N[r]):
+        raise ValueError(
+            f"radius {t} at n={n} is beyond the closed forms; "
+            f"such balls are served up to the table cap n={table_cap}"
+        )
+
+
+def ball_value(n: int, t: int, table_cap: int = DEFAULT_TABLE_CAP) -> int:
+    """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the table cap.
+
+    Radii beyond the diameter clamp to the whole group.
     """
     if n < 2:
         raise ValueError(f"group size must be at least 2, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    r = min(t, max_distance(n))
-    if r <= 5 and n >= BALL_FORM_MIN_N[r]:
-        return ball_closed_form(n, r)
-    if table is None or table.max_n < n:
-        if n > table_cap:
-            raise ValueError(
-                f"radius {t} at n={n} needs the recurrence table, "
-                f"which is capped at n={table_cap}"
-            )
-        table = build_table(n)
-    return ball_size(table, n, r).value
+    _check_table_cap(n, t, table_cap)
+    return ball_count(n, t)
 
 
 def _valuation(value: int, p: int) -> int:
@@ -138,7 +132,6 @@ def certify(
     t: int,
     *,
     factor_budget: int = DEFAULT_RHO_BUDGET,
-    table: Optional[SphereTable] = None,
     table_cap: int = DEFAULT_TABLE_CAP,
 ) -> Certificate:
     """Decide by divisibility whether a perfect t-code in S_n is ruled out."""
@@ -146,7 +139,7 @@ def certify(
         raise ValueError(f"group size must be between 2 and {MAX_FACTORIAL_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    ball = ball_value(n, t, table, table_cap)
+    ball = ball_value(n, t, table_cap)
     try:
         factors = factorize(ball, rho_budget=factor_budget)
     except FactorizationBudgetError as exc:
@@ -234,7 +227,8 @@ def scan(
 
     Budget exhaustion inside an entry degrades that entry's certificate
     instead of aborting the scan.  Range problems (group sizes the table
-    cap cannot serve) are rejected up front, before any work.
+    cap cannot serve) are rejected up front, before any work.  With
+    ``jobs`` above 1 the entries are shared out to that many processes.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
@@ -247,25 +241,14 @@ def scan(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     ns = range(n_from, n_to + 1)
-    if t > 5:
-        # every entry with radius beyond the closed forms leans on the table
-        needs_table = [n for n in ns if min(t, max_distance(n)) > 5]
-        if needs_table and max(needs_table) > table_cap:
-            raise ValueError(
-                f"radius {t} at n={max(needs_table)} needs the recurrence table, "
-                f"which is capped at n={table_cap}"
-            )
-        shared = build_table(max(needs_table)) if needs_table else None
-        return [
-            certify(n, t, factor_budget=factor_budget, table=shared, table_cap=table_cap)
-            for n in ns
-        ]
+    _check_table_cap(n_to, t, table_cap)  # the largest group needs the most
     if jobs > 1:
         worker = functools.partial(
             _certify_entry, t=t, factor_budget=factor_budget, table_cap=table_cap
         )
+        chunksize = max(1, len(ns) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, ns))
+            return list(pool.map(worker, ns, chunksize=chunksize))
     return [
         certify(n, t, factor_budget=factor_budget, table_cap=table_cap) for n in ns
     ]
@@ -282,7 +265,7 @@ def check_certificate(cert: Certificate, *, table_cap: int = DEFAULT_TABLE_CAP) 
     if cert.verdict not in VERDICTS:
         return False
     try:
-        expected_ball = ball_value(cert.n, cert.t, None, table_cap)
+        expected_ball = ball_value(cert.n, cert.t, table_cap)
     except ValueError:
         return False
     if cert.ball != expected_ball:

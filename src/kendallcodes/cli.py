@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--table-cap",
         type=int,
         default=certifier.DEFAULT_TABLE_CAP,
-        help="largest group size the recurrence table may be built for",
+        help="largest group size for table, and for radii beyond the closed forms (above 5)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,27 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sphere_value(n: int, i: int, table_cap: int) -> int:
-    if n < 2:
-        raise ValueError(f"group size must be at least 2, got {n}")
-    if i < 0 or i > mahonian.max_distance(n):
-        return 0
-    if i <= 5 and n >= mahonian.SPHERE_FORM_MIN_N[i]:
-        return mahonian.sphere_closed_form(n, i)
-    if n > table_cap:
-        raise ValueError(
-            f"distance {i} at n={n} needs the recurrence table, capped at n={table_cap}"
-        )
-    return mahonian.sphere_size(mahonian.build_table(n), n, i)
-
-
 def cmd_sphere(args: argparse.Namespace) -> int:
-    print(_sphere_value(args.n, args.i, args.table_cap))
+    n, i = args.n, args.i
+    if n >= 2 and not 0 <= i <= mahonian.max_distance(n):
+        print(0)
+        return EXIT_OK
+    ball = certifier.ball_value(n, i, args.table_cap)
+    print(ball - (certifier.ball_value(n, i - 1, args.table_cap) if i else 0))
     return EXIT_OK
 
 
 def cmd_ball(args: argparse.Namespace) -> int:
-    print(certifier.ball_value(args.n, args.r, None, args.table_cap))
+    print(certifier.ball_value(args.n, args.r, args.table_cap))
     return EXIT_OK
 
 

@@ -12,15 +12,19 @@ table is built by the one-step recurrence
     S(n, i) = sum of S(n-1, j) for j in [max(0, i - (n - 1)), i],
 
 implemented with running prefix sums, which covers every (n, i) uniformly.
-Two independent piecewise recursions (`sphere_size_small_radius` for
-radii below n, `sphere_size_large_radius` for radii from n up to the
-midpoint) and degree-bounded closed forms for radii up to 5 re-derive
-single entries without scanning whole rows; they exist to cross-check the
-table and to serve sizes beyond the table's memory cap.
+Single ball sizes come from :func:`ball_count`, which builds no table: the
+generating function of the balls is prod_{k<=n} (1 - q^k) / (1 - q)^(n+1),
+so B(n, r) is a short sum of binomials weighted by the coefficients of
+Euler's product (Knuth, TAOCP vol. 3, section 5.1.1).  Two independent
+piecewise recursions (`sphere_size_small_radius` for radii below n,
+`sphere_size_large_radius` for radii from n up to the midpoint) and
+degree-bounded closed forms for radii up to 5 re-derive the same numbers
+by other routes; they are kept as results of the paper and as test
+oracles for the table and for ``ball_count``.
 
 Rows are stored in full rather than exploiting the symmetry
-S(n, i) = S(n, n(n-1)/2 - i); the cap on ``build_table`` bounds the cost,
-and radii at most 5 never need a table at all.
+S(n, i) = S(n, n(n-1)/2 - i); the cap on ``build_table`` bounds the cost.
+The table serves the TSV export and the brute-force cross-checks.
 """
 
 from __future__ import annotations
@@ -195,6 +199,39 @@ def ball_size(table: SphereTable, n: int, r: int) -> BallSize:
     row = table.row(n)
     value = sum(row[: r + 1])
     return BallSize(n=n, r=r, value=value)
+
+
+def ball_count(n: int, r: int) -> int:
+    """B(n, r) for any n >= 1 and r >= 0, exact and without a table.
+
+    Radii at or beyond the diameter D clamp to it, so the value is n!
+    there.  With a_j = [q^j] prod_{k=1..n} (1 - q^k),
+
+        B(n, r) = sum over j in 0..r of a_j * C(n + r - j, n),
+
+    because dividing the Mahonian generating function prod (1 - q^k) /
+    (1 - q)^n by one more (1 - q) turns spheres into balls.  Only the
+    factors k <= min(n, r) reach q^r, so the cost is O(min(n, r) * r)
+    integer steps plus r + 1 binomial updates.  For r <= n the a_j
+    are Euler's pentagonal signs.
+    """
+    if n < 1:
+        raise ValueError(f"group size must be at least 1, got {n}")
+    if r < 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
+    r = min(r, max_distance(n))
+    coeffs = [1] + [0] * r
+    for k in range(1, min(n, r) + 1):
+        for j in range(r, k - 1, -1):  # multiply by (1 - q^k) in place
+            coeffs[j] -= coeffs[j - k]
+    total = 0
+    binom = 1  # C(n + m, n) for m = r - j, walking j down from r
+    for m in range(r + 1):
+        a = coeffs[r - m]
+        if a:
+            total += a * binom
+        binom = binom * (n + m + 1) // (m + 1)
+    return total
 
 
 BALL_FORM_MIN_N = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}

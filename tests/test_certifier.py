@@ -178,6 +178,10 @@ def test_scan_parallel_matches_serial():
     assert parallel == serial
 
 
+def test_scan_parallel_beyond_closed_forms_matches_serial():
+    assert scan(6, 2, 40, jobs=2) == scan(6, 2, 40)
+
+
 def test_ball_value_routes():
     assert ball_value(13, 3) == 441
     assert ball_value(4, 600) == 24  # clamps at the diameter
@@ -189,12 +193,6 @@ def test_ball_value_routes():
         ball_value(1, 1)
     with pytest.raises(ValueError):
         ball_value(5, -1)
-
-
-def test_ball_value_accepts_prebuilt_table(table150):
-    assert ball_value(150, 6, table150) == sum(table150.row(150)[:7])
-    # a provided table wins over the cap
-    assert ball_value(150, 6, table150, table_cap=10) == ball_value(150, 6, table150)
 
 
 # --- degraded path -----------------------------------------------------------
