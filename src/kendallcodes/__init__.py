@@ -10,9 +10,10 @@ arithmetic throughout:
 * when does the sphere-packing identity already rule out a perfect
   t-error-correcting code (``certifier``).
 
-``perms`` supplies the group arithmetic, ``numtheory`` the factorization
-and factorial-divisibility support, and ``oracle`` brute-force ground
-truth for small n, including an exhaustive perfect-code search.
+``perms`` supplies the group arithmetic, ``numtheory`` the n-smooth
+split of a ball size and factorial divisibility without n!, and
+``oracle`` brute-force ground truth for small n, including an exhaustive
+perfect-code search.
 """
 
 from .certifier import (
@@ -44,14 +45,12 @@ from .mahonian import (
 )
 from .numtheory import (
     Factorization,
-    FactorizationBudgetError,
     divides_factorial,
     factorial,
     factorial_valuation,
     factorize,
     format_factorization,
     is_probable_prime,
-    max_prime_factor,
 )
 from .oracle import (
     CodeSearchResult,
@@ -74,7 +73,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Certificate",
@@ -101,14 +100,12 @@ __all__ = [
     "sphere_size_small_radius",
     "table_tsv_lines",
     "Factorization",
-    "FactorizationBudgetError",
     "divides_factorial",
     "factorial",
     "factorial_valuation",
     "factorize",
     "format_factorization",
     "is_probable_prime",
-    "max_prime_factor",
     "CodeSearchResult",
     "InversionHistogram",
     "ball_census",

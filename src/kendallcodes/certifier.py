@@ -2,26 +2,25 @@
 
 A perfect t-error-correcting code in S_n is a set of permutations whose
 radius-t balls partition the whole group, so its existence forces the ball
-size B(n, t) to divide n!.  The certifier decides what the arithmetic of
-B(n, t) rules out:
+size B(n, t) to divide n!.  Only primes up to n divide n!, so the verdict
+rests on the n-smooth split of B: its factorization over the primes up to
+n, and the n-rough cofactor that remains.
 
-* some prime factor of the ball exceeds n, hence cannot divide n!
-  (NONEXISTENT_PRIME_FACTOR, the stronger and cheaper test), or
-* a prime divides the ball more often than it divides n!
-  (NONEXISTENT_NOT_DIVIDING, witnessed by the two exponents), or
-* the ball divides n! and divisibility alone decides nothing
-  (INCONCLUSIVE, with the exact quotient n!/B recorded).
+* a cofactor above 1 cannot divide n!, because none of its prime factors
+  is at most n (NONEXISTENT_PRIME_FACTOR, witnessed by the cofactor);
+* otherwise B is n-smooth, and a prime may divide B more often than it
+  divides n! (NONEXISTENT_NOT_DIVIDING, witnessed by the smallest such
+  prime and its two exponents);
+* otherwise B divides n! and divisibility alone decides nothing
+  (INCONCLUSIVE).
 
-The prime-factor test is tried first; both nonexistence verdicts carry a
-witness that a checker can re-verify from (n, t) alone without trusting
-any intermediate computation.  If factoring the ball exhausts its budget,
-the certificate is marked degraded: the verdict then rests only on the
-primes actually found plus a direct remainder test of n! by the ball, and
-the factorization field carries an explicit "unfactored" marker instead
-of a factor list.
+Neither n! nor a factorization of the cofactor is ever computed, and no
+step rests on an unproven primality test.  A checker re-verifies every
+claim from (n, t) alone without trusting any intermediate computation.
 
 Certificates serialize to one flat key=value record per line with a fixed
-field order, so scan output is byte-stable and diffable.
+field order (record format v2), so scan output is byte-stable and
+diffable.
 """
 
 from __future__ import annotations
@@ -30,24 +29,23 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .mahonian import BALL_FORM_MIN_N, ball_count, max_distance
 
 # Not used here: the benchmark's per-layer tracer wraps these names at this site.
 from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
+from .numtheory import factorial  # noqa: F401
 from .numtheory import (
     MAX_FACTORIAL_N,
-    DEFAULT_RHO_BUDGET,
     Factorization,
-    FactorizationBudgetError,
     divides_factorial,
-    factorial,
     factorial_valuation,
     factorize,
     format_factorization,
     is_probable_prime,
     parse_factorization,
+    primes_up_to,
 )
 
 NONEXISTENT_PRIME_FACTOR = "NONEXISTENT_PRIME_FACTOR"
@@ -63,20 +61,27 @@ DEFAULT_TABLE_CAP = 128
 class Certificate:
     """Self-contained divisibility verdict for one (n, t) pair.
 
-    ``factorization`` is None exactly when the ball could not be fully
-    factored within budget, in which case ``degraded`` is set and the
-    verdict relies on partial evidence only.
+    ``factorization`` is the n-smooth part of the ball.  ``witness`` is
+    the n-rough cofactor for NONEXISTENT_PRIME_FACTOR and the offending
+    prime for NONEXISTENT_NOT_DIVIDING, whose ``witness_exponents`` are
+    its exponents in the ball and in n!.
     """
 
     n: int
     t: int
     ball: int
-    factorization: Optional[Factorization]
+    factorization: Factorization
     verdict: str
-    witness_prime: Optional[int] = None
+    witness: Optional[int] = None
     witness_exponents: Optional[tuple[int, int]] = None
-    quotient: Optional[int] = None
-    degraded: bool = False
+    # Always False: every ball splits completely, so no certificate rests on
+    # partial evidence.  Kept readable for the benchmark's tracer.
+    degraded: ClassVar[bool] = False
+
+    @property
+    def cofactor(self) -> Optional[int]:
+        """The n-rough part of the ball: the witness of a prime-factor verdict, else 1."""
+        return self.witness if self.verdict == NONEXISTENT_PRIME_FACTOR else 1
 
 
 def _check_table_cap(n: int, t: int, table_cap: int) -> None:
@@ -107,111 +112,44 @@ def ball_value(n: int, t: int, table_cap: int = DEFAULT_TABLE_CAP) -> int:
     return ball_count(n, t)
 
 
-def _valuation(value: int, p: int) -> int:
-    e = 0
-    while value % p == 0:
-        value //= p
-        e += 1
-    return e
-
-
 def _legendre_violation(
-    ball: int, primes: list[int], n: int
+    smooth: Factorization, n: int
 ) -> Optional[tuple[int, tuple[int, int]]]:
-    """Smallest listed prime dividing the ball more often than n!, if any."""
-    for p in sorted(primes):
-        in_ball = _valuation(ball, p)
+    """Smallest prime dividing the smooth part more often than n!, if any."""
+    for p, in_ball in smooth:
         allowed = factorial_valuation(n, p)
         if in_ball > allowed:
             return p, (in_ball, allowed)
     return None
 
 
-def certify(
-    n: int,
-    t: int,
-    *,
-    factor_budget: int = DEFAULT_RHO_BUDGET,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> Certificate:
+def certify(n: int, t: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> Certificate:
     """Decide by divisibility whether a perfect t-code in S_n is ruled out."""
     if not 2 <= n <= MAX_FACTORIAL_N:
         raise ValueError(f"group size must be between 2 and {MAX_FACTORIAL_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
     ball = ball_value(n, t, table_cap)
-    try:
-        factors = factorize(ball, rho_budget=factor_budget)
-    except FactorizationBudgetError as exc:
-        return _certify_degraded(n, t, ball, exc.known)
-    if factors:
-        largest = factors[-1][0]
-        if largest > n:
-            return Certificate(
-                n, t, ball, factors, NONEXISTENT_PRIME_FACTOR, witness_prime=largest
-            )
-    violation = _legendre_violation(ball, [p for p, _ in factors], n)
+    smooth, cofactor = factorize(ball, n)
+    if cofactor > 1:
+        return Certificate(n, t, ball, smooth, NONEXISTENT_PRIME_FACTOR, witness=cofactor)
+    violation = _legendre_violation(smooth, n)
     if violation is not None:
         p, exponents = violation
         return Certificate(
             n,
             t,
             ball,
-            factors,
+            smooth,
             NONEXISTENT_NOT_DIVIDING,
-            witness_prime=p,
+            witness=p,
             witness_exponents=exponents,
         )
-    return Certificate(
-        n, t, ball, factors, INCONCLUSIVE, quotient=factorial(n) // ball
-    )
+    return Certificate(n, t, ball, smooth, INCONCLUSIVE)
 
 
-def _certify_degraded(n: int, t: int, ball: int, known: Factorization) -> Certificate:
-    """Best verdict still provable from a partial factorization.
-
-    The primes in ``known`` are genuine factors of the ball, so either
-    nonexistence test may still fire; the prime-count witnesses use exact
-    valuations of the ball, not the possibly understated partial
-    exponents.  When neither test decides, fall back to dividing n!
-    directly; a nonzero remainder proves nonexistence without naming a
-    witness prime.
-    """
-    primes = [p for p, _ in known]
-    oversized = [p for p in primes if p > n]
-    if oversized:
-        return Certificate(
-            n,
-            t,
-            ball,
-            None,
-            NONEXISTENT_PRIME_FACTOR,
-            witness_prime=max(oversized),
-            degraded=True,
-        )
-    violation = _legendre_violation(ball, primes, n)
-    if violation is not None:
-        p, exponents = violation
-        return Certificate(
-            n,
-            t,
-            ball,
-            None,
-            NONEXISTENT_NOT_DIVIDING,
-            witness_prime=p,
-            witness_exponents=exponents,
-            degraded=True,
-        )
-    order = factorial(n)
-    if order % ball:
-        return Certificate(n, t, ball, None, NONEXISTENT_NOT_DIVIDING, degraded=True)
-    return Certificate(
-        n, t, ball, None, INCONCLUSIVE, quotient=order // ball, degraded=True
-    )
-
-
-def _certify_entry(n: int, t: int, factor_budget: int, table_cap: int) -> Certificate:
-    return certify(n, t, factor_budget=factor_budget, table_cap=table_cap)
+def _certify_entry(n: int, t: int, table_cap: int) -> Certificate:
+    return certify(n, t, table_cap=table_cap)
 
 
 def scan(
@@ -219,16 +157,14 @@ def scan(
     n_from: int,
     n_to: int,
     *,
-    factor_budget: int = DEFAULT_RHO_BUDGET,
     table_cap: int = DEFAULT_TABLE_CAP,
     jobs: int = 1,
 ) -> list[Certificate]:
     """One certificate per n in [n_from, n_to], in order.
 
-    Budget exhaustion inside an entry degrades that entry's certificate
-    instead of aborting the scan.  Range problems (group sizes the table
-    cap cannot serve) are rejected up front, before any work.  With
-    ``jobs`` above 1 the entries are shared out to that many processes.
+    Range problems (group sizes the table cap cannot serve) are rejected
+    up front, before any work.  With ``jobs`` above 1 the entries are
+    shared out to that many processes.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
@@ -243,84 +179,61 @@ def scan(
     ns = range(n_from, n_to + 1)
     _check_table_cap(n_to, t, table_cap)  # the largest group needs the most
     if jobs > 1:
-        worker = functools.partial(
-            _certify_entry, t=t, factor_budget=factor_budget, table_cap=table_cap
-        )
+        worker = functools.partial(_certify_entry, t=t, table_cap=table_cap)
         chunksize = max(1, len(ns) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, ns, chunksize=chunksize))
-    return [
-        certify(n, t, factor_budget=factor_budget, table_cap=table_cap) for n in ns
-    ]
+    return [certify(n, t, table_cap=table_cap) for n in ns]
 
 
 def check_certificate(cert: Certificate, *, table_cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Recompute every claim in a certificate from (n, t); False on any mismatch.
 
-    Validates the ball value, the factor list (primality, order, product),
-    witness arithmetic, the quotient, and that the verdict is the one the
-    evidence actually supports, including that the stronger prime-factor
-    verdict was not skipped when full evidence was available.
+    Validates the ball value and its split: smooth primes are primes up
+    to n, the smooth part times the cofactor is the ball, and a cofactor
+    above 1 has no prime factor up to n (trial division up to
+    min(n, sqrt(cofactor))).  Then the verdict must be the one that split
+    supports, with its witness: the cofactor, or a prime whose exponent in
+    the ball exceeds its exponent in n!.  n! is never built.
+
+    Raises ValueError when ``table_cap`` refuses to recompute the ball: a
+    refusal says nothing about the record.
     """
-    if cert.verdict not in VERDICTS:
+    n, smooth = cert.n, cert.factorization
+    if cert.verdict not in VERDICTS or not 2 <= n <= MAX_FACTORIAL_N or cert.t < 0:
         return False
-    try:
-        expected_ball = ball_value(cert.n, cert.t, table_cap)
-    except ValueError:
+    if cert.ball != ball_value(n, cert.t, table_cap):
         return False
-    if cert.ball != expected_ball:
+    primes = [p for p, _ in smooth]
+    if primes != sorted(set(primes)):
         return False
-    factors = cert.factorization
-    if (factors is None) != cert.degraded:
+    # p ** e with e past the ball's bit length cannot divide it; refuse it unbuilt
+    if any(not 1 <= e <= cert.ball.bit_length() for _, e in smooth):
         return False
-    if factors is not None:
-        if any(e < 1 for _, e in factors):
-            return False
-        primes = [p for p, _ in factors]
-        if primes != sorted(set(primes)):
-            return False
-        if any(not is_probable_prime(p) for p in primes):
-            return False
-        if math.prod(p**e for p, e in factors) != cert.ball:
-            return False
-    order = factorial(cert.n)
+    if any(p > n or not is_probable_prime(p) for p in primes):
+        return False
+    cofactor = cert.cofactor
+    if cofactor is None or math.prod(p**e for p, e in smooth) * cofactor != cert.ball:
+        return False
     if cert.verdict == NONEXISTENT_PRIME_FACTOR:
-        p = cert.witness_prime
-        if p is None or cert.witness_exponents is not None or cert.quotient is not None:
-            return False
-        return is_probable_prime(p) and p > cert.n and cert.ball % p == 0
-    if cert.verdict == NONEXISTENT_NOT_DIVIDING:
-        if cert.quotient is not None:
-            return False
-        if factors is not None and factors[-1][0] > cert.n:
-            return False  # the prime-factor verdict was available and skipped
-        p = cert.witness_prime
-        if p is None:
-            # witness-free form is only reachable with degraded evidence
-            return (
-                cert.degraded
-                and cert.witness_exponents is None
-                and order % cert.ball != 0
-            )
-        if cert.witness_exponents is None or not is_probable_prime(p):
-            return False
-        in_ball, allowed = cert.witness_exponents
         return (
-            _valuation(cert.ball, p) == in_ball
-            and factorial_valuation(cert.n, p) == allowed
-            and in_ball > allowed
+            cert.witness_exponents is None
+            and cofactor > n
+            and all(cofactor % p for p in primes_up_to(min(n, math.isqrt(cofactor))))
         )
-    # INCONCLUSIVE
-    if cert.witness_prime is not None or cert.witness_exponents is not None:
-        return False
-    if cert.quotient is None or cert.quotient * cert.ball != order:
-        return False
-    if factors is not None:
-        if factors and factors[-1][0] > cert.n:
+    # the cofactor is 1: the smooth part is the whole ball
+    if cert.verdict == NONEXISTENT_NOT_DIVIDING:
+        p = cert.witness
+        in_ball = dict(smooth).get(p)
+        if in_ball is None:
             return False
-        if not divides_factorial(factors, cert.n):
-            return False
-    return True
+        allowed = factorial_valuation(n, p)
+        return cert.witness_exponents == (in_ball, allowed) and in_ball > allowed
+    return (
+        cert.witness is None
+        and cert.witness_exponents is None
+        and divides_factorial(smooth, n)
+    )
 
 
 RECORD_FIELDS = (
@@ -329,13 +242,9 @@ RECORD_FIELDS = (
     "ball",
     "factorization",
     "verdict",
-    "witness_prime",
+    "witness",
     "witness_exponents",
-    "quotient",
-    "degraded",
 )
-
-UNFACTORED = "unfactored"
 
 
 def certificate_values(cert: Certificate) -> dict[str, str]:
@@ -344,20 +253,14 @@ def certificate_values(cert: Certificate) -> dict[str, str]:
         "n": str(cert.n),
         "t": str(cert.t),
         "ball": str(cert.ball),
-        "factorization": (
-            UNFACTORED
-            if cert.factorization is None
-            else format_factorization(cert.factorization)
-        ),
+        "factorization": format_factorization(cert.factorization),
         "verdict": cert.verdict,
-        "witness_prime": "" if cert.witness_prime is None else str(cert.witness_prime),
+        "witness": "" if cert.witness is None else str(cert.witness),
         "witness_exponents": (
             ""
             if cert.witness_exponents is None
             else f"{cert.witness_exponents[0]},{cert.witness_exponents[1]}"
         ),
-        "quotient": "" if cert.quotient is None else str(cert.quotient),
-        "degraded": "true" if cert.degraded else "false",
     }
 
 
@@ -380,8 +283,6 @@ def parse_certificate(line: str) -> Certificate:
         raise ValueError(f"record is missing fields {missing}")
     if fields["verdict"] not in VERDICTS:
         raise ValueError(f"unknown verdict {fields['verdict']!r}")
-    if fields["degraded"] not in ("true", "false"):
-        raise ValueError(f"degraded must be true or false, got {fields['degraded']!r}")
     exponents: Optional[tuple[int, int]] = None
     if fields["witness_exponents"]:
         first, sep, second = fields["witness_exponents"].partition(",")
@@ -392,21 +293,15 @@ def parse_certificate(line: str) -> Certificate:
         n=int(fields["n"]),
         t=int(fields["t"]),
         ball=int(fields["ball"]),
-        factorization=(
-            None
-            if fields["factorization"] == UNFACTORED
-            else parse_factorization(fields["factorization"])
-        ),
+        factorization=parse_factorization(fields["factorization"]),
         verdict=fields["verdict"],
-        witness_prime=int(fields["witness_prime"]) if fields["witness_prime"] else None,
+        witness=int(fields["witness"]) if fields["witness"] else None,
         witness_exponents=exponents,
-        quotient=int(fields["quotient"]) if fields["quotient"] else None,
-        degraded=fields["degraded"] == "true",
     )
 
 
 # Polynomial factors of the closed-form ball sizes, used to annotate where
-# a witness prime comes from in human-readable output.
+# a witness comes from in human-readable output.
 _BALL_FACTOR_FAMILIES: dict[int, tuple[tuple[str, Callable[[int], int]], ...]] = {
     2: (("n+2", lambda n: n + 2), ("n-1", lambda n: n - 1)),
     3: (("n+1", lambda n: n + 1), ("n^2+2n-6", lambda n: n**2 + 2 * n - 6)),
@@ -424,58 +319,46 @@ _BALL_FACTOR_FAMILIES: dict[int, tuple[tuple[str, Callable[[int], int]], ...]] =
 
 
 def witness_factor_families(cert: Certificate) -> list[str]:
-    """Which polynomial factors of the closed-form ball the witness divides.
+    """Which polynomial factors of the closed-form ball share a prime with the witness.
 
     Only meaningful for radii 2..5 where the ball factors into named
     polynomial pieces; empty otherwise.
     """
-    if cert.witness_prime is None:
+    if cert.witness is None:
         return []
     families = _BALL_FACTOR_FAMILIES.get(cert.t, ())
-    return [name for name, poly in families if poly(cert.n) % cert.witness_prime == 0]
+    return [name for name, poly in families if math.gcd(poly(cert.n), cert.witness) > 1]
 
 
 def format_certificate_pretty(cert: Certificate) -> str:
     """Multi-line human-readable rendering of one certificate."""
-    values = certificate_values(cert)
     lines = [
-        f"S_{cert.n}, radius {cert.t}: ball size {cert.ball}"
-        f" = {values['factorization']}"
+        f"S_{cert.n}, radius {cert.t}: ball size {cert.ball},"
+        f" {cert.n}-smooth part {format_factorization(cert.factorization)},"
+        f" cofactor {cert.cofactor}"
     ]
     if cert.verdict == NONEXISTENT_PRIME_FACTOR:
         lines.append(
             f"  no perfect {cert.t}-error-correcting code exists in S_{cert.n}:"
-            f" prime {cert.witness_prime} divides the ball size"
-            f" but exceeds n = {cert.n}, so it cannot divide {cert.n}!"
+            f" the cofactor {cert.witness} divides the ball size"
+            f" but has no prime factor up to n = {cert.n}, so it cannot divide {cert.n}!"
         )
     elif cert.verdict == NONEXISTENT_NOT_DIVIDING:
-        if cert.witness_prime is None:
-            lines.append(
-                f"  no perfect {cert.t}-error-correcting code exists in S_{cert.n}:"
-                f" {cert.ball} leaves a nonzero remainder dividing {cert.n}!"
-            )
-        else:
-            in_ball, allowed = cert.witness_exponents
-            lines.append(
-                f"  no perfect {cert.t}-error-correcting code exists in S_{cert.n}:"
-                f" prime {cert.witness_prime} divides the ball size {in_ball}"
-                f" times but {cert.n}! only {allowed} times"
-            )
+        in_ball, allowed = cert.witness_exponents
+        lines.append(
+            f"  no perfect {cert.t}-error-correcting code exists in S_{cert.n}:"
+            f" prime {cert.witness} divides the ball size {in_ball}"
+            f" times but {cert.n}! only {allowed} times"
+        )
     else:
         lines.append(
             f"  divisibility does not decide: the ball size divides {cert.n}!"
-            f" with quotient {cert.quotient}"
         )
     families = witness_factor_families(cert)
     if families:
         plural = "factors" if len(families) > 1 else "factor"
         lines.append(
-            f"  witness {cert.witness_prime} divides the polynomial {plural}"
+            f"  witness {cert.witness} shares a prime with the polynomial {plural}"
             f" {' and '.join(families)} of the ball size"
-        )
-    if cert.degraded:
-        lines.append(
-            "  degraded evidence: factoring stopped at its budget;"
-            " the verdict uses only the primes found plus a direct remainder test"
         )
     return "\n".join(lines)

@@ -10,9 +10,10 @@ table     stream sphere and ball sizes as TSV
 verify    cross-check the recurrence against brute-force enumeration
 
 Exit codes: 0 success (including proven nonexistence), 2 validation error,
-3 inconclusive verdict, 4 inconclusive only because a budget ran out.
-All numeric output is exact decimal; records are stable byte-for-byte for
-fixed inputs, so they can be diffed and archived.
+3 inconclusive verdict.  All numeric output is exact decimal; records
+(format v2) are stable byte-for-byte for fixed inputs, so they can be
+diffed and archived.  Verdicts come from the n-smooth split of the ball,
+which always completes, so no budget can leave a verdict open.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import certifier, mahonian, oracle
-from .numtheory import DEFAULT_RHO_BUDGET, factorial
+from .numtheory import factorial
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
-EXIT_BUDGET = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=int, default=1, help="parallel workers for scan (default 1)"
-    )
-    common.add_argument(
-        "--factor-budget",
-        type=int,
-        default=DEFAULT_RHO_BUDGET,
-        help="iteration budget for factoring ball sizes",
     )
     common.add_argument(
         "--search-budget",
@@ -133,17 +127,13 @@ def _emit_certificates(certs: list[certifier.Certificate], fmt: str) -> None:
 
 
 def _certificates_exit_code(certs: list[certifier.Certificate]) -> int:
-    if any(c.verdict == certifier.INCONCLUSIVE and c.degraded for c in certs):
-        return EXIT_BUDGET
     if any(c.verdict == certifier.INCONCLUSIVE for c in certs):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cert = certifier.certify(
-        args.n, args.t, factor_budget=args.factor_budget, table_cap=args.table_cap
-    )
+    cert = certifier.certify(args.n, args.t, table_cap=args.table_cap)
     _emit_certificates([cert], args.format or "records")
     return _certificates_exit_code([cert])
 
@@ -153,7 +143,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         args.t,
         args.n_from,
         args.n_to,
-        factor_budget=args.factor_budget,
         table_cap=args.table_cap,
         jobs=args.jobs,
     )

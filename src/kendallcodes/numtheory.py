@@ -1,17 +1,17 @@
-"""Integer factorization and factorial divisibility, exact and deterministic.
+"""The n-smooth split of a ball size, and factorial divisibility without n!.
 
-The certifier needs three things: complete factorizations of ball sizes,
-the largest prime factor, and whether a factored value divides n! without
-ever computing n!.  Factorization runs trial division by all primes up to
-one million, then splits what remains with Brent's cycle-finding method
-seeded from the input value, so repeated runs give identical results.
-Primality is Miller-Rabin on a fixed base set, which is exact below
-3.3e24, combined with a strong Lucas test above that bound.
+Only primes up to n divide n!, so a divisibility verdict against n! needs
+no more of a value than its *n-smooth split*: the factorization over the
+primes up to n, and the *n-rough cofactor* that remains once those primes
+are divided out.  `factorize` computes that split by trial division with
+the primes of a sieve up to `MAX_FACTORIAL_N`, the largest group size the
+certifier serves.  Nothing is left to chance or to a budget: the cofactor
+is never split further, because its primes cannot divide n! anyway.
 
-Splitting effort is bounded by an iteration budget.  If the budget runs
-out the failure is explicit: `FactorizationBudgetError` carries the primes
-found so far and the unfactored cofactor, and the caller decides what can
-still be concluded.  A wrong answer is never returned.
+Primality is Miller-Rabin on the thirteen prime bases up to 41, which is
+proven exact below 3.3e24; above that bound `is_probable_prime` raises
+instead of guessing.  Every prime the package tests is at most
+`MAX_FACTORIAL_N`.
 
 Divisibility against n! uses the valuation identity: the exponent of p in
 n! is the sum of floor(n/p^k) over k >= 1.
@@ -20,53 +20,47 @@ n! is the sum of floor(n/p^k) over k >= 1.
 from __future__ import annotations
 
 import math
-import random
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable
 
 Factorization = tuple[tuple[int, int], ...]
 
-TRIAL_DIVISION_BOUND = 1_000_000
-DEFAULT_RHO_BUDGET = 5_000_000
 MAX_FACTORIAL_N = 10_000
-
-
-class FactorizationBudgetError(Exception):
-    """Raised when the splitting budget runs out before full factorization.
-
-    Attributes hold what is certain: ``known`` lists prime factors already
-    verified (with exponents) and ``cofactor`` is the remaining unfactored
-    part, so ``value == cofactor * product(p**e)`` always holds.
-    """
-
-    def __init__(self, value: int, known: Factorization, cofactor: int):
-        self.value = value
-        self.known = known
-        self.cofactor = cofactor
-        super().__init__(
-            f"factorization budget exhausted for {value}: "
-            f"unfactored cofactor {cofactor}"
-        )
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * (TRIAL_DIVISION_BOUND + 1)
+    sieve = bytearray([1]) * (MAX_FACTORIAL_N + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(TRIAL_DIVISION_BOUND) + 1):
+    for p in range(2, math.isqrt(MAX_FACTORIAL_N) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with the twelve bases above has no composite liar below this.
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """The primes p <= bound, ascending, for 0 <= bound <= MAX_FACTORIAL_N."""
+    if not 0 <= bound <= MAX_FACTORIAL_N:
+        raise ValueError(f"prime bound must be between 0 and {MAX_FACTORIAL_N}, got {bound}")
+    primes = _small_primes()
+    return primes[: bisect_right(primes, bound)]
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The smallest composite that passes Miller-Rabin on all thirteen bases
+# above (Sorenson and Webster, 2015).  The twelve bases up to 37 alone are
+# fooled already by 318665857834031151167461.
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic primality: exact below 3.3e24, Miller-Rabin plus strong
-    Lucas above (no counterexample to the combination is known)."""
+    """Exact primality for n below 3.3e24 by Miller-Rabin on thirteen bases.
+
+    Raises ValueError at or above that bound, where the test is not proven.
+    """
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(f"primality is proven only below {_MR_PROVEN_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -89,174 +83,35 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n < _MR_PROVEN_BOUND:
-        return True
-    return _strong_lucas_prp(n)
+    return True
 
 
-def _jacobi(a: int, n: int) -> int:
-    # n odd positive
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+def factorize(value: int, bound: int) -> tuple[Factorization, int]:
+    """The ``bound``-smooth split of ``value`` as ``(smooth, cofactor)``.
 
-
-def _half_mod(x: int, n: int) -> int:
-    # y with 2y = x (mod n), n odd
-    r = x % n
-    return r // 2 if r % 2 == 0 else (r + n) // 2
-
-
-def _strong_lucas_prp(n: int) -> bool:
-    # n odd, coprime to the small bases, already a Miller-Rabin nonwitness
-    root = math.isqrt(n)
-    if root * root == n:
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D, n)
-        if j == 0:
-            return False
-        if j == -1:
-            break
-        D = -(D + 2) if D > 0 else -(D - 2)
-    P = 1
-    Q = (1 - D) // 4
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    U, V, Qk = 1, P % n, Q % n
-    for bit in bin(d)[3:]:
-        U = U * V % n
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if bit == "1":
-            U, V = _half_mod(P * U + V, n), _half_mod(D * U + P * V, n)
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % n
-        Qk = Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One nontrivial factor of odd composite n, or None if budget ran out.
-
-    Returns (factor, iterations_used).  Retries with fresh parameters from
-    the caller's seeded generator whenever a cycle yields only trivial gcds.
-    """
-    used = 0
-    while used < budget:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        batch = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1 and used < budget:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            used += r
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                steps = min(batch, r - k)
-                for _ in range(steps):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                used += steps
-                g = math.gcd(q, n)
-                k += batch
-            r <<= 1
-        if g == n:
-            # the batched gcd overshot; replay one step at a time
-            g = 1
-            while g == 1 and used < budget:
-                ys = (ys * ys + c) % n
-                used += 1
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g, used
-    return None, used
-
-
-def factorize(value: int, *, rho_budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Complete factorization as ((prime, exponent), ...) with primes ascending.
-
-    Deterministic for a given value.  Raises ValueError for value < 1 and
-    FactorizationBudgetError when the splitting budget is exhausted.
+    ``smooth`` is ((prime, exponent), ...) over the primes p <= bound, in
+    ascending order, and ``cofactor`` is the rest of ``value``, which has
+    no prime factor <= bound; ``value == cofactor * prod(p**e)``.  Raises
+    ValueError for value < 1 and for a bound outside 0..MAX_FACTORIAL_N.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
-    if value == 1:
-        return ()
-    counts: dict[int, int] = {}
+    smooth = []
     v = value
-
-    def strip(p: int) -> None:
-        nonlocal v
-        e = 0
-        while v % p == 0:
-            v //= p
-            e += 1
-        if e:
-            counts[p] = counts.get(p, 0) + e
-
-    if is_probable_prime(v):
-        return ((v, 1),)
-    for p in _small_primes():
-        if v == 1 or p * p > v:
+    for p in primes_up_to(bound):
+        if p * p > v:
+            # v has no prime factor below p, so it is 1 or a prime
+            if 1 < v <= bound:
+                smooth.append((v, 1))
+                v = 1
             break
         if v % p == 0:
-            strip(p)
-            if v > 1 and is_probable_prime(v):
-                strip(v)
-                break
-    if v > 1 and is_probable_prime(v):
-        strip(v)
-    if v > 1:
-        # no prime factor up to the trial bound remains; split the rest
-        rng = random.Random(value)
-        budget = rho_budget
-        stack = [v]
-        while stack:
-            m = stack.pop()
-            if is_probable_prime(m):
-                counts[m] = counts.get(m, 0) + 1
-                continue
-            factor, spent = _brent_rho(m, rng, budget)
-            budget -= spent
-            if factor is None:
-                stack.append(m)
-                cofactor = math.prod(stack)
-                raise FactorizationBudgetError(
-                    value, tuple(sorted(counts.items())), cofactor
-                )
-            stack.append(factor)
-            stack.append(m // factor)
-    return tuple(sorted(counts.items()))
-
-
-def max_prime_factor(factors: Factorization) -> int:
-    """Largest prime in a factorization; rejects the empty factorization of 1."""
-    if not factors:
-        raise ValueError("1 has no prime factors")
-    return max(p for p, _ in factors)
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            smooth.append((p, e))
+    return tuple(smooth), v
 
 
 def factorial_valuation(n: int, p: int) -> int:

@@ -93,12 +93,13 @@ def test_criterion_3_closed_forms_against_recurrence():
 
 def test_criterion_4_key_ball_arithmetic():
     def body():
-        assert factorize(441) == ((3, 2), (7, 2))
-        assert factorize(3249) == ((3, 2), (19, 2))
-        assert factorize(1715) == ((5, 1), (7, 3))
-        assert not divides_factorial(factorize(441), 13)
-        assert not divides_factorial(factorize(3249), 26)
-        assert not divides_factorial(factorize(1715), 13)
+        # each key ball is n-smooth: its n-rough cofactor is 1
+        assert factorize(441, 13) == (((3, 2), (7, 2)), 1)
+        assert factorize(3249, 26) == (((3, 2), (19, 2)), 1)
+        assert factorize(1715, 13) == (((5, 1), (7, 3)), 1)
+        assert not divides_factorial(factorize(441, 13)[0], 13)
+        assert not divides_factorial(factorize(3249, 26)[0], 26)
+        assert not divides_factorial(factorize(1715, 13)[0], 13)
         assert math.factorial(13) % 441 != 0
         assert math.factorial(26) % 3249 != 0
         assert math.factorial(13) % 1715 != 0
@@ -135,7 +136,7 @@ def test_criterion_5_nonexistence_scans():
         for n in range(5, 501):
             if is_probable_prime(n + 2):
                 assert radius2[n].verdict == NONEXISTENT_PRIME_FACTOR, n
-                assert radius2[n].witness_prime == n + 2, n
+                assert radius2[n].witness == n + 2, n
 
         radius5 = {c.n: c for c in results[5]}
         for n in range(5, 501):
@@ -205,13 +206,9 @@ def test_criterion_9_checker_accepts_real_rejects_tampered():
         base = next(c for c in results[3] if c.n == 13)
         tampered = [
             dataclasses.replace(base, ball=base.ball + 1),
-            dataclasses.replace(base, witness_prime=11),
+            dataclasses.replace(base, witness=11),
             dataclasses.replace(
-                base,
-                verdict=INCONCLUSIVE,
-                witness_prime=None,
-                witness_exponents=None,
-                quotient=math.factorial(13) // base.ball,
+                base, verdict=INCONCLUSIVE, witness=None, witness_exponents=None
             ),
         ]
         for fake in tampered:

@@ -1,0 +1,85 @@
+"""Property tests: records round-trip, and the checker rejects every forgery.
+
+Each certificate is mutated in one field at a time: the ball, the
+witness and either exponent by one, the verdict swapped for each other
+verdict, one smooth exponent bumped, one smooth prime dropped.  The
+checker must reject every such record, and accept the genuine one.
+"""
+
+import dataclasses
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from kendallcodes.certifier import (  # noqa: E402
+    VERDICTS,
+    certify,
+    check_certificate,
+    format_certificate,
+    parse_certificate,
+)
+from kendallcodes.numtheory import MAX_FACTORIAL_N  # noqa: E402
+
+
+@st.composite
+def group_and_radius(draw):
+    """Radii up to 5 anywhere in the served range; up to 60 within the table cap."""
+    if draw(st.booleans()):
+        return draw(st.integers(2, MAX_FACTORIAL_N)), draw(st.integers(0, 5))
+    return draw(st.integers(2, 128)), draw(st.integers(0, 60))
+
+
+# Exponent verdicts are rare among random draws; these are all of them for
+# n <= 128 and t <= 60.
+EXPONENT_VERDICTS = [
+    (4, 2), (7, 2), (7, 5), (11, 6), (13, 3), (13, 4), (19, 5), (26, 3), (49, 6), (74, 3)
+]
+
+
+def with_exponent_verdicts(test):
+    for case in EXPONENT_VERDICTS:
+        test = example(case)(test)
+    return test
+
+
+def single_field_mutations(cert):
+    replace = dataclasses.replace
+    for delta in (1, -1):
+        yield replace(cert, ball=cert.ball + delta)
+        if cert.witness is not None:
+            yield replace(cert, witness=cert.witness + delta)
+        if cert.witness_exponents is not None:
+            in_ball, allowed = cert.witness_exponents
+            yield replace(cert, witness_exponents=(in_ball + delta, allowed))
+            yield replace(cert, witness_exponents=(in_ball, allowed + delta))
+    for verdict in VERDICTS:
+        if verdict != cert.verdict:
+            yield replace(cert, verdict=verdict)
+    smooth = cert.factorization
+    for i, (p, e) in enumerate(smooth):
+        yield replace(cert, factorization=smooth[:i] + ((p, e + 1),) + smooth[i + 1 :])
+        yield replace(cert, factorization=smooth[:i] + smooth[i + 1 :])
+
+
+@settings(max_examples=150, deadline=None)
+@with_exponent_verdicts
+@given(group_and_radius())
+def test_record_roundtrip(case):
+    cert = certify(*case)
+    line = format_certificate(cert)
+    assert "\n" not in line
+    assert parse_certificate(line) == cert
+    assert format_certificate(parse_certificate(line)) == line
+
+
+@settings(max_examples=150, deadline=None)
+@with_exponent_verdicts
+@given(group_and_radius())
+def test_checker_rejects_every_single_field_mutation(case):
+    cert = certify(*case)
+    assert check_certificate(cert)
+    for forged in single_field_mutations(cert):
+        assert not check_certificate(forged), forged

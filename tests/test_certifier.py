@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from kendallcodes import certifier
 from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
@@ -24,18 +23,33 @@ from kendallcodes.certifier import (
     scan,
     witness_factor_families,
 )
-from kendallcodes.numtheory import FactorizationBudgetError, is_probable_prime
+from kendallcodes.numtheory import MAX_FACTORIAL_N
+from kendallcodes.numtheory import is_probable_prime
 
 
 def test_certify_prime_factor_verdict():
     cert = certify(5, 2)
     assert cert.ball == 14
-    assert cert.factorization == ((2, 1), (7, 1))
+    assert cert.factorization == ((2, 1),)  # the 5-smooth part only
     assert cert.verdict == NONEXISTENT_PRIME_FACTOR
-    assert cert.witness_prime == 7
+    assert cert.witness == cert.cofactor == 7
     assert cert.witness_exponents is None
-    assert cert.quotient is None
     assert not cert.degraded
+
+    # the cofactor is never split: here it is the product of two primes > n
+    cert = certify(5, 6)
+    assert cert.ball == 91 == 7 * 13
+    assert cert.factorization == ()
+    assert cert.witness == 91
+
+    cert = certify(6, 4)
+    assert cert.ball == 98
+    assert (cert.factorization, cert.witness) == (((2, 1),), 49)
+
+    cert = certify(128, 30)
+    assert math.prod(p**e for p, e in cert.factorization) * cert.witness == cert.ball
+    assert all(p <= 128 for p, _ in cert.factorization)
+    assert all(cert.witness % p for p in range(2, 129))
 
 
 def test_certify_exponent_verdicts():
@@ -43,21 +57,22 @@ def test_certify_exponent_verdicts():
     assert cert.ball == 441
     assert cert.factorization == ((3, 2), (7, 2))
     assert cert.verdict == NONEXISTENT_NOT_DIVIDING
-    assert cert.witness_prime == 7
+    assert cert.witness == 7
     assert cert.witness_exponents == (2, 1)
+    assert cert.cofactor == 1
 
     cert = certify(26, 3)
     assert cert.ball == 3249
     assert cert.factorization == ((3, 2), (19, 2))
     assert cert.verdict == NONEXISTENT_NOT_DIVIDING
-    assert cert.witness_prime == 19
+    assert cert.witness == 19
     assert cert.witness_exponents == (2, 1)
 
     cert = certify(13, 4)
     assert cert.ball == 1715
     assert cert.factorization == ((5, 1), (7, 3))
     assert cert.verdict == NONEXISTENT_NOT_DIVIDING
-    assert cert.witness_prime == 7
+    assert cert.witness == 7
     assert cert.witness_exponents == (3, 1)
 
 
@@ -65,23 +80,28 @@ def test_certify_inconclusive_verdicts():
     cert = certify(4, 6)  # radius reaches the diameter: the ball is the group
     assert cert.ball == 24
     assert cert.verdict == INCONCLUSIVE
-    assert cert.quotient == 1
+    assert cert.factorization == ((2, 3), (3, 1))
+    assert cert.witness is None and cert.witness_exponents is None
 
     for n in (2, 3, 7, 12, 30):
         cert = certify(n, 1)  # ball size n always divides n!
         assert cert.ball == n
         assert cert.verdict == INCONCLUSIVE
-        assert cert.quotient == math.factorial(n - 1)
+        assert cert.cofactor == 1
 
         cert = certify(n, 0)
         assert cert.ball == 1
         assert cert.verdict == INCONCLUSIVE
-        assert cert.quotient == math.factorial(n)
+        assert cert.factorization == ()
 
     cert = certify(2, 2)  # radius past the tiny group's diameter clamps
     assert cert.ball == 2
     assert cert.verdict == INCONCLUSIVE
-    assert cert.quotient == 1
+
+    # past n = 1560 the old quotient n!/B no longer printed; nothing big is stored now
+    cert = certify(MAX_FACTORIAL_N, 2)
+    assert cert.verdict == INCONCLUSIVE
+    assert len(format_certificate(cert)) < 200
 
 
 def test_certify_validates_arguments():
@@ -125,11 +145,11 @@ def test_scan_radius_2_prime_family():
         if is_probable_prime(n + 2):
             cert = certs[n]
             assert cert.verdict == NONEXISTENT_PRIME_FACTOR, n
-            assert cert.witness_prime == n + 2, n
-    # quotient bookkeeping on whatever divisibility left open
+            assert cert.witness == n + 2, n
+    # whatever divisibility left open really divides n!
     for cert in certs.values():
         if cert.verdict == INCONCLUSIVE:
-            assert cert.quotient * cert.ball == math.factorial(cert.n)
+            assert math.factorial(cert.n) % cert.ball == 0
 
 
 def test_scan_radius_5_prime_family():
@@ -146,14 +166,14 @@ def test_scan_beyond_closed_forms_uses_shared_table():
     assert [c.n for c in certs] == [2, 3, 4, 5, 6]
     by_n = {c.n: c for c in certs}
     # tiny groups clamp to the whole group
-    assert by_n[2].ball == 2 and by_n[2].quotient == 1
-    assert by_n[3].ball == 6 and by_n[3].quotient == 1
-    assert by_n[4].ball == 24 and by_n[4].quotient == 1
+    assert by_n[2].ball == 2 and by_n[2].verdict == INCONCLUSIVE
+    assert by_n[3].ball == 6 and by_n[3].verdict == INCONCLUSIVE
+    assert by_n[4].ball == 24 and by_n[4].verdict == INCONCLUSIVE
     assert by_n[5].ball == 106
     assert by_n[5].verdict == NONEXISTENT_PRIME_FACTOR
-    assert by_n[5].witness_prime == 53
+    assert by_n[5].witness == 53
     assert by_n[6].ball == 360
-    assert by_n[6].verdict == INCONCLUSIVE and by_n[6].quotient == 2
+    assert by_n[6].verdict == INCONCLUSIVE
     assert all(check_certificate(c) for c in certs)
 
 
@@ -182,6 +202,17 @@ def test_scan_parallel_beyond_closed_forms_matches_serial():
     assert scan(6, 2, 40, jobs=2) == scan(6, 2, 40)
 
 
+def test_verdicts_match_factorial_residues():
+    # independent oracle: a perfect code is ruled out exactly when B does not
+    # divide n!, decided here by a running product of n! modulo B
+    for t in range(9):
+        for cert in scan(t, 2, 300, table_cap=300):
+            residue = 1
+            for k in range(2, cert.n + 1):
+                residue = residue * k % cert.ball
+            assert (cert.verdict != INCONCLUSIVE) == (residue != 0), (cert.n, t)
+
+
 def test_ball_value_routes():
     assert ball_value(13, 3) == 441
     assert ball_value(4, 600) == 24  # clamps at the diameter
@@ -195,97 +226,35 @@ def test_ball_value_routes():
         ball_value(5, -1)
 
 
-# --- degraded path -----------------------------------------------------------
-
-
-def _forced_budget_failure(known, cofactor_of):
-    def fake_factorize(value, *, rho_budget=0):
-        raise FactorizationBudgetError(value, known, cofactor_of(value))
-
-    return fake_factorize
-
-
-def test_degraded_oversized_prime(monkeypatch):
-    monkeypatch.setattr(
-        certifier, "factorize", _forced_budget_failure(((7, 1),), lambda v: v // 7)
-    )
-    cert = certify(5, 2)
-    assert cert.degraded
-    assert cert.factorization is None
-    assert cert.verdict == NONEXISTENT_PRIME_FACTOR
-    assert cert.witness_prime == 7
-    assert check_certificate(cert)
-
-
-def test_degraded_exponent_witness_uses_exact_valuations(monkeypatch):
-    # the partial factorization understates the exponent of 7; the witness
-    # must still carry the true count of 2
-    monkeypatch.setattr(
-        certifier, "factorize", _forced_budget_failure(((7, 1),), lambda v: v // 7)
-    )
-    cert = certify(13, 3)
-    assert cert.degraded
-    assert cert.verdict == NONEXISTENT_NOT_DIVIDING
-    assert cert.witness_prime == 7
-    assert cert.witness_exponents == (2, 1)
-    assert check_certificate(cert)
-
-
-def test_degraded_remainder_test_without_witness(monkeypatch):
-    monkeypatch.setattr(
-        certifier, "factorize", _forced_budget_failure((), lambda v: v)
-    )
-    cert = certify(13, 3)
-    assert cert.degraded
-    assert cert.verdict == NONEXISTENT_NOT_DIVIDING
-    assert cert.witness_prime is None
-    assert cert.witness_exponents is None
-    assert check_certificate(cert)
-
-
-def test_degraded_inconclusive_keeps_quotient(monkeypatch):
-    monkeypatch.setattr(
-        certifier, "factorize", _forced_budget_failure((), lambda v: v)
-    )
-    cert = certify(4, 6)
-    assert cert.degraded
-    assert cert.verdict == INCONCLUSIVE
-    assert cert.quotient == 1
-    assert check_certificate(cert)
-
-
-def test_degraded_certificates_arise_from_real_budgets():
-    # large table-route balls genuinely defeat a zero splitting budget
-    cert = certify(20, 63, factor_budget=0)
-    assert cert.degraded
-    assert cert.factorization is None
-    assert cert.ball == 48368691114249227
-    assert cert.verdict == NONEXISTENT_PRIME_FACTOR
-    assert cert.witness_prime == 23
-    assert check_certificate(cert)
-
-    cert = certify(20, 72, factor_budget=0)
-    assert cert.degraded
-    assert cert.verdict == NONEXISTENT_NOT_DIVIDING
-    assert cert.witness_prime is None  # remainder test, no witness available
-    assert check_certificate(cert)
-
-    # with the default budget the same inputs factor completely
-    assert not certify(20, 63).degraded
-
-
 # --- the adversarial checker -------------------------------------------------
 
 
 def test_checker_rejects_tampered_witness():
     base = certify(13, 3)
-    assert not check_certificate(dataclasses.replace(base, witness_prime=11))
-    assert not check_certificate(dataclasses.replace(base, witness_prime=None))
+    assert not check_certificate(dataclasses.replace(base, witness=11))
+    assert not check_certificate(dataclasses.replace(base, witness=3))  # fits in 13!
+    assert not check_certificate(dataclasses.replace(base, witness=None))
     assert not check_certificate(
         dataclasses.replace(base, witness_exponents=(1, 2))
     )
     assert not check_certificate(
         dataclasses.replace(base, witness_exponents=None)
+    )
+
+    prime = certify(5, 2)  # ball 14 = 2 * 7, cofactor 7
+    assert not check_certificate(dataclasses.replace(prime, witness=14))
+    assert not check_certificate(dataclasses.replace(prime, witness=None))
+    assert not check_certificate(dataclasses.replace(prime, witness_exponents=(1, 0)))
+    # a cofactor with a prime factor <= n is not n-rough
+    assert not check_certificate(
+        dataclasses.replace(prime, factorization=(), witness=14)
+    )
+    # a prime cofactor that is not above n
+    assert not check_certificate(
+        Certificate(13, 3, 441, ((3, 2),), NONEXISTENT_PRIME_FACTOR, witness=49)
+    )
+    assert not check_certificate(
+        Certificate(4, 6, 24, ((2, 3),), NONEXISTENT_PRIME_FACTOR, witness=3)
     )
 
 
@@ -301,8 +270,16 @@ def test_checker_rejects_tampered_ball_and_factors():
     assert not check_certificate(
         dataclasses.replace(base, factorization=((7, 2), (3, 2)))
     )
-    assert not check_certificate(dataclasses.replace(base, factorization=None))
-    assert not check_certificate(dataclasses.replace(base, degraded=True))
+    assert not check_certificate(dataclasses.replace(base, factorization=()))
+    # an exponent far past the ball is refused before p**e is built
+    assert not check_certificate(
+        dataclasses.replace(base, factorization=((3, 10**12), (7, 2)))
+    )
+    # a smooth prime above n belongs in the cofactor
+    prime = certify(5, 2)
+    assert not check_certificate(
+        dataclasses.replace(prime, factorization=((2, 1), (7, 1)), witness=1)
+    )
 
 
 def test_checker_rejects_forged_verdicts():
@@ -312,46 +289,69 @@ def test_checker_rejects_forged_verdicts():
         dataclasses.replace(base, verdict=NONEXISTENT_PRIME_FACTOR)
     )
     forged = dataclasses.replace(
-        base,
-        verdict=INCONCLUSIVE,
-        witness_prime=None,
-        witness_exponents=None,
-        quotient=math.factorial(13) // base.ball,
+        base, verdict=INCONCLUSIVE, witness=None, witness_exponents=None
     )
     assert not check_certificate(forged)
 
     prime_base = certify(5, 2)
-    assert not check_certificate(
-        dataclasses.replace(prime_base, witness_prime=11)
-    )
-    assert not check_certificate(dataclasses.replace(prime_base, witness_prime=2))
+    assert not check_certificate(dataclasses.replace(prime_base, witness=11))
+    assert not check_certificate(dataclasses.replace(prime_base, witness=2))
     downgraded = dataclasses.replace(
         prime_base,
         verdict=NONEXISTENT_NOT_DIVIDING,
-        witness_prime=7,
+        witness=7,
         witness_exponents=(1, 0),
     )
     assert not check_certificate(downgraded)  # stronger verdict was skipped
+    assert not check_certificate(
+        dataclasses.replace(prime_base, verdict=INCONCLUSIVE, witness=None)
+    )
 
     inconclusive = certify(4, 6)
-    assert not check_certificate(dataclasses.replace(inconclusive, quotient=2))
-    assert not check_certificate(dataclasses.replace(inconclusive, quotient=None))
+    assert not check_certificate(dataclasses.replace(inconclusive, witness=3))
     assert not check_certificate(
-        dataclasses.replace(inconclusive, witness_prime=3)
+        dataclasses.replace(inconclusive, witness_exponents=(1, 1))
+    )
+    assert not check_certificate(
+        dataclasses.replace(inconclusive, verdict=NONEXISTENT_PRIME_FACTOR)
+    )
+
+    # 1715 = 5 * 7^3: the prime 5 fits inside 13! and witnesses nothing
+    exponent = certify(13, 4)
+    assert not check_certificate(
+        dataclasses.replace(exponent, witness=5, witness_exponents=(1, 2))
     )
 
 
 def test_checker_rejects_underived_witness_free_claims():
-    # witness-free exponent verdicts are acceptable only as degraded output
+    # an exponent verdict always names its prime
     fake = Certificate(
         n=7,
         t=1,
         ball=7,
-        factorization=None,
+        factorization=((7, 1),),
         verdict=NONEXISTENT_NOT_DIVIDING,
-        degraded=True,
     )
-    assert not check_certificate(fake)  # 7 divides 7!, remainder test fails
+    assert not check_certificate(fake)  # 7 divides 7!, and no witness is named
+    assert check_certificate(dataclasses.replace(fake, verdict=INCONCLUSIVE))
+
+
+def test_checker_raises_when_the_cap_refuses_the_ball():
+    # a cap refusal is not a verdict: the record may be genuine
+    cert = certify(140, 7, table_cap=140)
+    assert cert.verdict == NONEXISTENT_PRIME_FACTOR
+    assert check_certificate(cert, table_cap=140)
+    with pytest.raises(ValueError, match="table cap"):
+        check_certificate(cert)
+    with pytest.raises(ValueError, match="table cap"):
+        check_certificate(dataclasses.replace(cert, ball=cert.ball + 1))
+
+
+def test_checker_rejects_records_outside_the_served_ranges():
+    base = certify(13, 3)
+    assert not check_certificate(dataclasses.replace(base, n=1))
+    assert not check_certificate(dataclasses.replace(base, n=MAX_FACTORIAL_N + 1))
+    assert not check_certificate(dataclasses.replace(base, t=-1))
 
 
 # --- serialization -----------------------------------------------------------
@@ -360,18 +360,23 @@ def test_checker_rejects_underived_witness_free_claims():
 GOLDEN_RECORDS = {
     (13, 3): (
         "n=13\tt=3\tball=441\tfactorization=3^2 * 7^2"
-        "\tverdict=NONEXISTENT_NOT_DIVIDING\twitness_prime=7"
-        "\twitness_exponents=2,1\tquotient=\tdegraded=false"
+        "\tverdict=NONEXISTENT_NOT_DIVIDING\twitness=7\twitness_exponents=2,1"
     ),
     (5, 2): (
-        "n=5\tt=2\tball=14\tfactorization=2^1 * 7^1"
-        "\tverdict=NONEXISTENT_PRIME_FACTOR\twitness_prime=7"
-        "\twitness_exponents=\tquotient=\tdegraded=false"
+        "n=5\tt=2\tball=14\tfactorization=2^1"
+        "\tverdict=NONEXISTENT_PRIME_FACTOR\twitness=7\twitness_exponents="
     ),
     (4, 6): (
         "n=4\tt=6\tball=24\tfactorization=2^3 * 3^1"
-        "\tverdict=INCONCLUSIVE\twitness_prime="
-        "\twitness_exponents=\tquotient=1\tdegraded=false"
+        "\tverdict=INCONCLUSIVE\twitness=\twitness_exponents="
+    ),
+    (5, 106): (
+        "n=5\tt=106\tball=120\tfactorization=2^3 * 3^1 * 5^1"
+        "\tverdict=INCONCLUSIVE\twitness=\twitness_exponents="
+    ),
+    (2, 0): (
+        "n=2\tt=0\tball=1\tfactorization=1"
+        "\tverdict=INCONCLUSIVE\twitness=\twitness_exponents="
     ),
 }
 
@@ -382,16 +387,12 @@ def test_record_serialization_golden():
 
 
 def test_record_roundtrip():
-    cases = [(5, 2), (13, 3), (26, 3), (13, 4), (4, 6), (7, 1), (2, 2)]
+    cases = [(5, 2), (13, 3), (26, 3), (13, 4), (4, 6), (7, 1), (2, 2), (2, 0), (5, 6)]
     for n, t in cases:
         cert = certify(n, t)
-        assert parse_certificate(format_certificate(cert)) == cert
-    degraded = certify(20, 72, factor_budget=0)
-    line = format_certificate(degraded)
-    assert "factorization=unfactored" in line
-    assert "degraded=true" in line
-    assert parse_certificate(line) == degraded
-    assert parse_certificate(line + "\n") == degraded
+        line = format_certificate(cert)
+        assert parse_certificate(line) == cert
+        assert parse_certificate(line + "\n") == cert
 
 
 def test_parse_certificate_rejects_malformed_lines():
@@ -399,13 +400,19 @@ def test_parse_certificate_rejects_malformed_lines():
     with pytest.raises(ValueError):
         parse_certificate("not a record")
     with pytest.raises(ValueError):
-        parse_certificate(good.replace("\tquotient=", ""))  # missing field
+        parse_certificate(good.replace("\twitness_exponents=2,1", ""))  # missing field
     with pytest.raises(ValueError):
         parse_certificate(good.replace("NONEXISTENT_NOT_DIVIDING", "MAYBE"))
     with pytest.raises(ValueError):
-        parse_certificate(good.replace("degraded=false", "degraded=no"))
+        parse_certificate(good.replace("witness=7", "witness=seven"))
     with pytest.raises(ValueError):
         parse_certificate(good.replace("witness_exponents=2,1", "witness_exponents=21"))
+    with pytest.raises(ValueError):
+        parse_certificate(good.replace("3^2 * 7^2", "7^2 * 3^2"))
+    # a v1 record names its witness witness_prime
+    v1 = good.replace("witness=", "witness_prime=") + "\tquotient=\tdegraded=false"
+    with pytest.raises(ValueError):
+        parse_certificate(v1)
 
 
 # --- annotation and pretty output --------------------------------------------
@@ -423,17 +430,15 @@ def test_witness_factor_families():
 def test_format_certificate_pretty():
     text = format_certificate_pretty(certify(13, 3))
     assert "ball size 441" in text
-    assert "3^2 * 7^2" in text
+    assert "13-smooth part 3^2 * 7^2, cofactor 1" in text
     assert "prime 7 divides the ball size 2 times but 13! only 1 times" in text
     assert "polynomial factors n+1 and n^2+2n-6" in text
 
     text = format_certificate_pretty(certify(5, 2))
-    assert "prime 7" in text and "exceeds n = 5" in text
+    assert "5-smooth part 2^1, cofactor 7" in text
+    assert "cofactor 7 divides the ball size" in text
+    assert "no prime factor up to n = 5" in text
     assert "polynomial factor n+2" in text
 
     text = format_certificate_pretty(certify(4, 6))
-    assert "quotient 1" in text
-
-    text = format_certificate_pretty(certify(20, 72, factor_budget=0))
-    assert "unfactored" in text
-    assert "degraded evidence" in text
+    assert "the ball size divides 4!" in text

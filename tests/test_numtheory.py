@@ -1,7 +1,7 @@
-"""Factorization, primality, and factorial divisibility.
+"""The smooth split, primality, and factorial divisibility.
 
-Oracles here are direct computation: multiplying a factorization back
-together, a prime sieve, and literal ``n! % v``.  Random cases use a fixed
+Oracles here are direct computation: multiplying a split back together,
+a prime sieve of the test's own, and literal ``n! % v``.  Random cases use a fixed
 seed so failures reproduce.
 """
 
@@ -12,8 +12,6 @@ import pytest
 
 from kendallcodes import numtheory
 from kendallcodes.numtheory import (
-    DEFAULT_RHO_BUDGET,
-    FactorizationBudgetError,
     MAX_FACTORIAL_N,
     divides_factorial,
     factorial,
@@ -21,93 +19,100 @@ from kendallcodes.numtheory import (
     factorize,
     format_factorization,
     is_probable_prime,
-    max_prime_factor,
     parse_factorization,
+    primes_up_to,
 )
 
-# primes straddling the trial-division bound and beyond
+# primes far beyond the sieve
 P_BIG_1 = 10**9 + 7
 P_BIG_2 = 10**9 + 9
 M31 = 2**31 - 1
 
 
+def _sieve(limit):
+    flags = [True] * (limit + 1)
+    flags[0] = flags[1] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(flags[p * p :: p])
+    return [i for i, flag in enumerate(flags) if flag]
+
+
 def test_factorize_golden_values():
-    assert factorize(1) == ()
-    assert factorize(2) == ((2, 1),)
-    assert factorize(97) == ((97, 1),)
-    assert factorize(1024) == ((2, 10),)
-    assert factorize(210) == ((2, 1), (3, 1), (5, 1), (7, 1))
-    assert factorize(441) == ((3, 2), (7, 2))
-    assert factorize(3249) == ((3, 2), (19, 2))
-    assert factorize(1715) == ((5, 1), (7, 3))
-    assert factorize(24) == ((2, 3), (3, 1))
-    # the classic split of 2^32 + 1
-    assert factorize(2**32 + 1) == ((641, 1), (6700417, 1))
+    assert factorize(1, 10) == ((), 1)
+    assert factorize(2, 2) == (((2, 1),), 1)
+    assert factorize(97, 100) == (((97, 1),), 1)
+    assert factorize(97, 96) == ((), 97)
+    assert factorize(1024, 2) == (((2, 10),), 1)
+    assert factorize(210, 7) == (((2, 1), (3, 1), (5, 1), (7, 1)), 1)
+    assert factorize(210, 6) == (((2, 1), (3, 1), (5, 1)), 7)
+    assert factorize(441, 13) == (((3, 2), (7, 2)), 1)
+    assert factorize(3249, 26) == (((3, 2), (19, 2)), 1)
+    assert factorize(3249, 18) == (((3, 2),), 361)
+    assert factorize(1715, 13) == (((5, 1), (7, 3)), 1)
+    assert factorize(24, 4) == (((2, 3), (3, 1)), 1)
+    assert factorize(24, 0) == ((), 24)
+    # 2^32 + 1 = 641 * 6700417: the large prime stays in the cofactor
+    assert factorize(2**32 + 1, MAX_FACTORIAL_N) == (((641, 1),), 6700417)
+    assert factorize(2**32 + 1, 640) == ((), 2**32 + 1)
 
 
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
-        factorize(0)
+        factorize(0, 10)
     with pytest.raises(ValueError):
-        factorize(-441)
+        factorize(-441, 10)
 
 
 def test_factorize_random_roundtrip():
     rng = random.Random(20260818)
     for _ in range(2000):
         v = rng.randrange(1, 2**36)
-        factors = factorize(v)
-        assert math.prod(p**e for p, e in factors) == v
-        primes = [p for p, _ in factors]
+        bound = rng.choice((0, 2, 30, 1000, MAX_FACTORIAL_N))
+        smooth, cofactor = factorize(v, bound)
+        assert math.prod(p**e for p, e in smooth) * cofactor == v
+        primes = [p for p, _ in smooth]
         assert primes == sorted(set(primes))
-        assert all(e >= 1 for _, e in factors)
-        assert all(is_probable_prime(p) for p in primes)
+        assert all(e >= 1 for _, e in smooth)
+        assert all(p <= bound and is_probable_prime(p) for p in primes)
+        assert all(cofactor % p for p in primes_up_to(bound))
 
 
 def test_factorize_beyond_trial_division():
-    # factors too large for the sieve force the cycle-finding phase
-    pool = (2, 3, 1009, 999983, 1000003, M31, 2**32 + 15, P_BIG_1, P_BIG_2)
+    # factors beyond the bound are never split; they form the cofactor
+    pool = (2, 3, 1009, 9973, 10007, 999983, M31, 2**32 + 15, P_BIG_1, P_BIG_2)
     rng = random.Random(7)
     for _ in range(25):
         chosen = rng.sample(pool, rng.randint(1, 3))
-        expected = tuple(sorted((p, rng.randint(1, 2)) for p in chosen))
-        v = math.prod(p**e for p, e in expected)
-        assert factorize(v) == expected
-    assert factorize(P_BIG_1 * P_BIG_2) == ((P_BIG_1, 1), (P_BIG_2, 1))
-    assert factorize(M31 * M31) == ((M31, 2),)
+        factors = {p: rng.randint(1, 2) for p in chosen}
+        v = math.prod(p**e for p, e in factors.items())
+        smooth = tuple(sorted((p, e) for p, e in factors.items() if p <= MAX_FACTORIAL_N))
+        cofactor = math.prod(p**e for p, e in factors.items() if p > MAX_FACTORIAL_N)
+        assert factorize(v, MAX_FACTORIAL_N) == (smooth, cofactor)
+    assert factorize(P_BIG_1 * P_BIG_2, MAX_FACTORIAL_N) == ((), P_BIG_1 * P_BIG_2)
+    assert factorize(M31 * M31 * 12, 3) == (((2, 2), (3, 1)), M31 * M31)
 
 
 def test_factorize_is_deterministic():
     for v in (441, P_BIG_1 * P_BIG_2, M31**2 * 3, 2**40 - 1):
-        assert factorize(v) == factorize(v)
+        assert factorize(v, 100) == factorize(v, 100)
 
 
-def test_factorize_budget_exhaustion_reports_partial_state():
-    v = P_BIG_1 * P_BIG_2
-    with pytest.raises(FactorizationBudgetError) as info:
-        factorize(v, rho_budget=0)
-    err = info.value
-    assert err.value == v
-    assert err.known == ()
-    assert err.cofactor == v
-
-    with pytest.raises(FactorizationBudgetError) as info:
-        factorize(2 * v, rho_budget=0)
-    err = info.value
-    assert err.value == 2 * v
-    assert err.known == ((2, 1),)
-    assert err.cofactor == v
-    assert math.prod(p**e for p, e in err.known) * err.cofactor == err.value
-
-    # the same value factors fine once the budget is realistic
-    assert factorize(v, rho_budget=DEFAULT_RHO_BUDGET) == (
-        (P_BIG_1, 1),
-        (P_BIG_2, 1),
-    )
+def test_primes_up_to_and_the_bound_range():
+    assert primes_up_to(0) == primes_up_to(1) == ()
+    assert primes_up_to(2) == (2,)
+    assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert primes_up_to(MAX_FACTORIAL_N) == tuple(_sieve(MAX_FACTORIAL_N))
+    assert primes_up_to(MAX_FACTORIAL_N)[-1] == 9973
+    for bound in (-1, MAX_FACTORIAL_N + 1):
+        with pytest.raises(ValueError):
+            primes_up_to(bound)
+        with pytest.raises(ValueError):
+            factorize(441, bound)
 
 
 def test_is_probable_prime_matches_sieve():
-    sieve_primes = set(numtheory._small_primes())
+    sieve_primes = set(_sieve(30000))
     for n in range(-2, 30000):
         assert is_probable_prime(n) == (n in sieve_primes), n
 
@@ -115,39 +120,23 @@ def test_is_probable_prime_matches_sieve():
 def test_is_probable_prime_spot_checks():
     assert not is_probable_prime(41041)  # Carmichael
     assert not is_probable_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    # strong pseudoprime to every prime base up to 37; base 41 exposes it
+    assert not is_probable_prime(318665857834031151167461)
     assert is_probable_prime(999983)
     assert is_probable_prime(1000003)
     assert is_probable_prime(P_BIG_1)
-    assert is_probable_prime(2**127 - 1)
+    assert is_probable_prime(2**61 - 1)
 
 
 def test_is_probable_prime_beyond_deterministic_bound():
-    # these exceed the proven base-set bound, exercising the Lucas stage
-    assert is_probable_prime(2**89 - 1)
-    assert is_probable_prime(2**107 - 1)
-    assert not is_probable_prime(2**101 - 1)
-    assert not is_probable_prime((2**89 - 1) ** 2)
-    assert not is_probable_prime((2**89 - 1) * (2**107 - 1))
-
-
-def test_strong_lucas_accepts_primes_rejects_easy_composites():
-    for p in numtheory._small_primes():
-        if p > 1000:
-            break
-        if p >= 41:
-            assert numtheory._strong_lucas_prp(p), p
-    for square in (9, 49, 121, 169):
-        assert not numtheory._strong_lucas_prp(square)
-    for n in (15, 35, 561, 1105, 1729):
-        assert not numtheory._strong_lucas_prp(n)
-
-
-def test_max_prime_factor():
-    assert max_prime_factor(factorize(441)) == 7
-    assert max_prime_factor(factorize(3249)) == 19
-    assert max_prime_factor(((2, 5),)) == 2
-    with pytest.raises(ValueError):
-        max_prime_factor(())
+    # the base set is proven only below this bound; above it, refuse
+    bound = numtheory._MR_PROVEN_BOUND
+    assert bound == 3317044064679887385961981  # passes all thirteen bases
+    assert not is_probable_prime(bound - 1)  # even
+    assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
+    for n in (bound, bound + 1, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError):
+            is_probable_prime(n)
 
 
 def test_factorial_valuation_golden_values():
@@ -177,25 +166,25 @@ def test_factorial_valuation_rejects_bad_arguments():
 
 def test_factorial_valuation_matches_direct_factorization():
     for n in range(2, 21):
-        direct = dict(factorize(math.factorial(n)))
-        for p in numtheory._small_primes():
-            if p > n:
-                break
+        smooth, cofactor = factorize(math.factorial(n), n)
+        assert cofactor == 1
+        direct = dict(smooth)
+        for p in primes_up_to(n):
             assert factorial_valuation(n, p) == direct[p], (n, p)
 
 
 def test_divides_factorial_golden_values():
-    assert not divides_factorial(factorize(441), 13)
-    assert not divides_factorial(factorize(3249), 26)
-    assert not divides_factorial(factorize(1715), 13)
-    assert divides_factorial(factorize(24), 4)
+    assert not divides_factorial(((3, 2), (7, 2)), 13)  # 441
+    assert not divides_factorial(((3, 2), (19, 2)), 26)  # 3249
+    assert not divides_factorial(((5, 1), (7, 3)), 13)  # 1715
+    assert divides_factorial(((2, 3), (3, 1)), 4)  # 24
     assert divides_factorial((), 1)
     with pytest.raises(ValueError):
-        divides_factorial(factorize(24), 0)
+        divides_factorial(((2, 3), (3, 1)), 0)
 
 
 def test_divides_factorial_exhaustive_small():
-    factorizations = {v: factorize(v) for v in range(1, 2001)}
+    factorizations = {v: factorize(v, 2000)[0] for v in range(1, 2001)}
     for n in range(1, 31):
         fact = math.factorial(n)
         for v, factors in factorizations.items():
@@ -207,9 +196,10 @@ def test_divides_factorial_sampled_large():
     factorials = {n: math.factorial(n) for n in range(1, 31)}
     for _ in range(300):
         v = rng.randrange(1, 10**6 + 1)
-        factors = factorize(v)
+        smooth, cofactor = factorize(v, 30)
         for n in (1, 5, 13, 26, 30):
-            assert divides_factorial(factors, n) == (factorials[n] % v == 0), (v, n)
+            divides = cofactor == 1 and divides_factorial(smooth, n)
+            assert divides == (factorials[n] % v == 0), (v, n)
 
 
 def test_factorial_cap():
@@ -230,7 +220,7 @@ def test_format_factorization():
 
 def test_parse_factorization_roundtrip():
     for v in (1, 2, 24, 441, 3249, 1715, 1024, 210):
-        factors = factorize(v)
+        factors, _ = factorize(v, v)
         assert parse_factorization(format_factorization(factors)) == factors
     assert parse_factorization("  3^2   *  7^2 ") == ((3, 2), (7, 2))
 
