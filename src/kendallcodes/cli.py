@@ -19,6 +19,7 @@ which always completes, so no budget can leave a verdict open.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -168,6 +169,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"verify enumerates all of S_n and supports 2 <= n <= {oracle.MAX_HISTOGRAM_N}, got {n}"
         )
+    if args.search_budget < 1:
+        raise ValueError(f"search budget must be positive, got {args.search_budget}")
     failures = 0
 
     def report(name: str, ok: bool) -> None:
@@ -182,13 +185,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report(f"row sums to {n}!", sum(row) == factorial(n))
     report("row is symmetric end to end", row == row[::-1])
     if n <= oracle.MAX_CENSUS_N:
-        centers = [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
-        ok = True
-        for r in range(0, min(3, mahonian.max_distance(n)) + 1):
-            expected = mahonian.ball_size(table, n, r).value
-            ok = ok and all(
-                oracle.ball_census(n, r, center) == expected for center in centers
-            )
+        # one distance count per center (the identity's is the histogram);
+        # its prefix sums are the ball censuses
+        reversal = tuple(range(n, 0, -1))
+        counts = (histogram.counts, oracle.inversion_histogram(n, reversal).counts)
+        ok = all(
+            sum(census[: r + 1]) == mahonian.ball_size(table, n, r).value
+            for census in counts
+            for r in range(0, min(3, mahonian.max_distance(n)) + 1)
+        )
         report("ball censuses around two centers match row prefix sums", ok)
     if n <= oracle.MAX_SEARCH_N - 1:
         result = oracle.search_perfect_code(n, 1, node_budget=args.search_budget)
@@ -205,9 +210,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -5,16 +5,28 @@ distances directly, deliberately avoiding the recurrence machinery it is
 meant to check.  Sizes are capped accordingly: histograms up to n = 10,
 ball censuses up to n = 8, perfect-code searches up to n = 6.
 
+One streaming kernel counts the distance of every permutation from a
+center: ``inversion_histogram(n, center)``, which ``ball_census`` sums.
+It enumerates the permutations of the center's position vector, each of
+which is some permutation already relabelled through the center, so the
+inversion count of each is its distance and no relabelling is done per
+permutation.  S_n is never materialised.
+
 The perfect-code search is an exact-cover backtracker over radius-t balls:
-a perfect code is exactly a set of centers whose balls partition S_n.  It
-always expands the uncovered permutation with the fewest admissible
-centers first (fail-first), visits candidate centers in lexicographic
-order, and counts every visited state, so outcomes and node counts are
-reproducible run to run.  By default the identity is fixed as the first
-codeword: translating all codewords by a fixed permutation on the right
-preserves pairwise distances, so any perfect code can be shifted to one
-containing the identity and the restriction loses no generality.  The
-flag exists so tests can confirm that empirically.
+a perfect code is exactly a set of centers whose balls partition S_n.
+The balls are built by translation.  Relabelling values preserves the
+Kendall distance, so the ball around ``c`` is ``compose(x, c)`` for x in
+the ball around the identity, which is measured once; that is O(n!·|B|)
+work instead of n!² distance calls.  Because the masks are derived rather
+than measured, a code the search finds is re-checked by direct distances
+before it is returned.  The search always expands the uncovered
+permutation with the fewest admissible centers first (fail-first), visits
+candidate centers in lexicographic order, and counts every visited state,
+so outcomes and node counts are reproducible run to run.  By default the
+identity is fixed as the first codeword: translating all codewords by a
+fixed permutation preserves pairwise distances, so any perfect code can
+be shifted to one containing the identity and the restriction loses no
+generality.  The flag exists so tests can confirm that empirically.
 """
 
 from __future__ import annotations
@@ -25,7 +37,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .numtheory import factorial
-from .perms import Permutation, check_permutation, enumerate_sn, kendall_distance
+from .perms import (
+    Permutation,
+    check_permutation,
+    compose,
+    enumerate_sn,
+    inverse,
+    kendall_distance,
+)
 
 MAX_HISTOGRAM_N = 10
 MAX_CENSUS_N = 8
@@ -40,7 +59,10 @@ ABORTED_BUDGET = "ABORTED_BUDGET"
 
 @dataclass(frozen=True)
 class InversionHistogram:
-    """counts[i] = number of permutations of [n] with exactly i inversions."""
+    """counts[i] = number of permutations of [n] at distance i from a center.
+
+    Around the identity that distance is the number of inversions.
+    """
 
     n: int
     counts: tuple[int, ...]
@@ -64,16 +86,31 @@ class CodeSearchResult:
     note: str = ""
 
 
-def inversion_histogram(n: int) -> InversionHistogram:
-    """Count inversions of every permutation of [n] by direct pair scans."""
+def inversion_histogram(
+    n: int, center: Optional[Sequence[int]] = None
+) -> InversionHistogram:
+    """Count the distance of every permutation of [n] from ``center``.
+
+    The center defaults to the identity, where the distance is the number
+    of inversions.  Each distance is counted by a direct pair scan.
+    """
     if not 2 <= n <= MAX_HISTOGRAM_N:
         raise ValueError(f"histogram supports 2 <= n <= {MAX_HISTOGRAM_N}, got {n}")
+    if center is None:
+        position: Sequence[int] = range(n)
+    else:
+        center = check_permutation(center)
+        if len(center) != n:
+            raise ValueError(f"center has size {len(center)}, expected {n}")
+        position = inverse(center)
     counts = [0] * (math.comb(n, 2) + 1)
-    for perm in itertools.permutations(range(n)):
+    # the permutations of the position vector are exactly the relabelled
+    # pi, position[pi(i)] for each pi in S_n, whose inversions are d(center, pi)
+    for relabeled in itertools.permutations(position):
         inversions = 0
         for i in range(n - 1):
-            left = perm[i]
-            for right in perm[i + 1 :]:
+            left = relabeled[i]
+            for right in relabeled[i + 1 :]:
                 if left > right:
                     inversions += 1
         counts[inversions] += 1
@@ -86,10 +123,7 @@ def ball_census(n: int, r: int, center: Sequence[int]) -> int:
         raise ValueError(f"census supports 2 <= n <= {MAX_CENSUS_N}, got {n}")
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    center = check_permutation(center)
-    if len(center) != n:
-        raise ValueError(f"center has size {len(center)}, expected {n}")
-    return sum(1 for pi in enumerate_sn(n) if kendall_distance(center, pi) <= r)
+    return sum(inversion_histogram(n, center).counts[: r + 1])
 
 
 def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
@@ -106,6 +140,25 @@ def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
         if kendall_distance(a, b) < d:
             return False
     return True
+
+
+def _translated_masks(
+    perms: list[Permutation], ball: list[Permutation]
+) -> list[int]:
+    """Bit masks over ``perms`` of the ball around each of them.
+
+    ``ball`` is the ball around the identity; the ball around ``c`` is its
+    translate ``compose(x, c)``, since relabelling values by ``c`` keeps
+    every distance.
+    """
+    index = {pi: i for i, pi in enumerate(perms)}
+    masks = []
+    for center in perms:
+        mask = 0
+        for x in ball:
+            mask |= 1 << index[compose(x, center)]
+        masks.append(mask)
+    return masks
 
 
 def search_perfect_code(
@@ -128,16 +181,9 @@ def search_perfect_code(
     if node_budget < 1:
         raise ValueError(f"node budget must be positive, got {node_budget}")
     perms = list(enumerate_sn(n))
-    size = len(perms)
-    masks = [1 << a for a in range(size)]
-    for a in range(size):
-        for b in range(a + 1, size):
-            if kendall_distance(perms[a], perms[b]) <= t:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    ball = masks[0].bit_count()
+    ball = [pi for pi in perms if kendall_distance(perms[0], pi) <= t]
     order = factorial(n)
-    if order % ball:
+    if order % len(ball):
         return CodeSearchResult(
             n=n,
             t=t,
@@ -145,11 +191,12 @@ def search_perfect_code(
             code=None,
             nodes_explored=0,
             note=(
-                f"ball size {ball} does not divide |S_{n}| = {order}; "
+                f"ball size {len(ball)} does not divide |S_{n}| = {order}; "
                 "balls cannot partition the group"
             ),
         )
-    full = (1 << size) - 1
+    masks = _translated_masks(perms, ball)
+    full = (1 << len(perms)) - 1
     covered = 0
     chosen: list[int] = []
     if fix_first_codeword:
@@ -218,14 +265,12 @@ def search_perfect_code(
     solution: Optional[tuple[Permutation, ...]] = None
     if outcome == FOUND:
         assert found_centers is not None
-        union = 0
-        for center in found_centers:
-            if union & masks[center]:
-                raise AssertionError("search produced overlapping balls")
-            union |= masks[center]
-        if union != full:
-            raise AssertionError("search produced an incomplete cover")
         solution = tuple(perms[c] for c in found_centers)
+        # codewords 2t+1 apart have disjoint balls, and n!/|B| of them cover S_n
+        if len(solution) * len(ball) != order or not verify_min_distance(
+            solution, 2 * t + 1
+        ):
+            raise AssertionError("search produced a code that is not perfect")
     return CodeSearchResult(
         n=n, t=t, outcome=outcome, code=solution, nodes_explored=nodes
     )

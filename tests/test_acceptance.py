@@ -182,7 +182,7 @@ def test_criterion_7_metric_axioms_hold():
 
 def test_criterion_8_exhaustive_searches_are_reproducible():
     def body():
-        for n, expected_nodes in ((4, 4), (5, 14)):
+        for n, expected_nodes in ((4, 4), (5, 14), (6, 160)):
             first = search_perfect_code(n, 1)
             second = search_perfect_code(n, 1)
             assert first.outcome == second.outcome == EXHAUSTED_NONE
@@ -192,7 +192,7 @@ def test_criterion_8_exhaustive_searches_are_reproducible():
                 f" after {first.nodes_explored} nodes, twice"
             )
 
-    _criterion(8, 60.0, "no perfect single-error code in groups of size 4 and 5", body)
+    _criterion(8, 60.0, "no perfect single-error code in groups of size 4, 5 and 6", body)
 
 
 def test_criterion_9_checker_accepts_real_rejects_tampered():

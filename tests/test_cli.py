@@ -236,6 +236,14 @@ def test_verify_skips_search_on_tiny_budget(capsys):
     assert "OK verify n=5" in out
 
 
+def test_verify_refuses_a_nonpositive_budget_before_any_output(capsys):
+    for n in ("4", "9"):
+        code, out, err = run_cli(capsys, "verify", "--n", n, "--search-budget", "0")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
+
 def test_verify_rejects_large_groups(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "11")
     assert code == EXIT_VALIDATION
@@ -252,3 +260,16 @@ def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as info:  # verdicts need no factoring budget
         main(["certify", "--n", "5", "--t", "2", "--factor-budget", "0"])
     assert info.value.code == 2
+
+
+def test_repeated_calls_print_identical_bytes(capsys):
+    argv = ("certify", "--n", "13", "--t", "3")
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as info:
+        main(["sphere", "--n", "5"])
+    assert info.value.code == 2
+    failed = capsys.readouterr()
+    assert run_cli(capsys, *argv) == first
+    with pytest.raises(SystemExit):
+        main(["sphere", "--n", "5"])
+    assert capsys.readouterr() == failed

@@ -20,7 +20,7 @@ from kendallcodes.oracle import (
     search_perfect_code,
     verify_min_distance,
 )
-from kendallcodes.perms import enumerate_sn, identity, reverse
+from kendallcodes.perms import enumerate_sn, identity, kendall_distance, reverse
 
 
 def test_histogram_golden_values():
@@ -39,6 +39,10 @@ def test_histogram_rejects_out_of_range():
         inversion_histogram(1)
     with pytest.raises(ValueError):
         inversion_histogram(11)
+    with pytest.raises(ValueError):
+        inversion_histogram(4, identity(5))
+    with pytest.raises(ValueError):
+        inversion_histogram(4, (1, 2, 2, 4))
 
 
 def test_ball_census_golden_values():
@@ -60,6 +64,21 @@ def test_ball_census_is_center_independent(table60):
             expected = ball_size(table60, n, r).value
             for center in centers:
                 assert ball_census(n, r, center) == expected, (n, r, center)
+
+
+def test_census_matches_direct_distances():
+    rng = random.Random(11)
+    for n in range(2, 7):
+        for _ in range(5):
+            values = list(range(1, n + 1))
+            rng.shuffle(values)
+            center = tuple(values)
+            direct = [0] * (max_distance(n) + 1)
+            for pi in enumerate_sn(n):
+                direct[kendall_distance(center, pi)] += 1
+            assert inversion_histogram(n, center).counts == tuple(direct), center
+            for r in (0, 1, max_distance(n) // 2):
+                assert ball_census(n, r, center) == sum(direct[: r + 1]), (center, r)
 
 
 def test_ball_census_rejects_bad_arguments():
@@ -110,13 +129,33 @@ def test_search_radius_zero_takes_everything():
 
 
 def test_search_exhausts_without_a_code():
-    for n, expected_nodes in ((4, 4), (5, 14)):
+    for n, expected_nodes in ((4, 4), (5, 14), (6, 160)):
         result = search_perfect_code(n, 1)
         assert result.outcome == EXHAUSTED_NONE
         assert result.code is None
         assert result.nodes_explored == expected_nodes
         # divisibility alone cannot rule these out; the search is stronger
         assert certify(n, 1).verdict == INCONCLUSIVE
+
+
+def test_translated_masks_equal_pairwise_masks():
+    for n in range(2, 6):
+        perms = list(enumerate_sn(n))
+        distances = [[kendall_distance(pi, other) for other in perms] for pi in perms]
+        for t in range(max_distance(n) + 1):
+            pairwise = [
+                sum(1 << b for b, d in enumerate(row) if d <= t) for row in distances
+            ]
+            ball = [pi for pi in perms if kendall_distance(perms[0], pi) <= t]
+            assert oracle._translated_masks(perms, ball) == pairwise, (n, t)
+
+
+def test_found_codes_are_rechecked_by_distances(monkeypatch):
+    # a broken translation that shrinks every ball to its center makes the
+    # masks accept all of S_4 as a "code"; the distance re-check refuses it
+    monkeypatch.setattr(oracle, "compose", lambda x, center: center)
+    with pytest.raises(AssertionError, match="not perfect"):
+        search_perfect_code(4, 1)
 
 
 def test_search_is_deterministic():
