@@ -73,7 +73,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Certificate",

@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
-from .mahonian import BALL_FORM_MIN_N, ball_count, max_distance
+from .mahonian import ball_count, max_distance
 
 # Not used here: the benchmark's per-layer tracer wraps these names at this site.
 from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
@@ -54,7 +54,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 
-DEFAULT_TABLE_CAP = 128
+# The min(n, r) * r steps of ball_count at the diameter of S_128, the most
+# work any served ball takes: about 0.11 s at every edge of the bound, and
+# 0.23 s for certify plus check_certificate (2 vCPUs, Python 3.11).
+MAX_BALL_WORK = 128 * max_distance(128)
 
 
 @dataclass(frozen=True)
@@ -84,31 +87,32 @@ class Certificate:
         return self.witness if self.verdict == NONEXISTENT_PRIME_FACTOR else 1
 
 
-def _check_table_cap(n: int, t: int, table_cap: int) -> None:
-    """Refuse balls beyond the closed forms' reach for n above ``table_cap``.
+def _check_served(n: int, t: int) -> None:
+    """Refuse a ball outside the served range, before any work on it.
 
-    That reach is radius at most 5 at or above each form's validity
-    threshold; the cap keeps the O(min(n, t) * t) work of larger radii
-    bounded.
+    ``ball_count`` takes min(n, r) * r steps for r = min(t, D); the bound
+    on that work is the most the n = 128 diameter needs.
     """
+    if not 2 <= n <= MAX_FACTORIAL_N:
+        raise ValueError(f"group size must be between 2 and {MAX_FACTORIAL_N}, got {n}")
+    if t < 0:
+        raise ValueError(f"radius must be nonnegative, got {t}")
     r = min(t, max_distance(n))
-    if n > table_cap and (r > 5 or n < BALL_FORM_MIN_N[r]):
+    work = min(n, r) * r
+    if work > MAX_BALL_WORK:
         raise ValueError(
-            f"radius {t} at n={n} is beyond the closed forms; "
-            f"such balls are served up to the table cap n={table_cap}"
+            f"radius {t} at n={n} takes {work} steps, past the bound of {MAX_BALL_WORK}"
         )
 
 
-def ball_value(n: int, t: int, table_cap: int = DEFAULT_TABLE_CAP) -> int:
-    """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the table cap.
+def ball_value(n: int, t: int) -> int:
+    """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the served range.
 
-    Radii beyond the diameter clamp to the whole group.
+    That range is 2 <= n <= MAX_FACTORIAL_N, t >= 0 and min(n, r) * r <=
+    MAX_BALL_WORK with r = min(t, D); radii beyond the diameter D clamp
+    to the whole group.
     """
-    if n < 2:
-        raise ValueError(f"group size must be at least 2, got {n}")
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    _check_table_cap(n, t, table_cap)
+    _check_served(n, t)
     return ball_count(n, t)
 
 
@@ -123,13 +127,9 @@ def _legendre_violation(
     return None
 
 
-def certify(n: int, t: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> Certificate:
+def certify(n: int, t: int) -> Certificate:
     """Decide by divisibility whether a perfect t-code in S_n is ruled out."""
-    if not 2 <= n <= MAX_FACTORIAL_N:
-        raise ValueError(f"group size must be between 2 and {MAX_FACTORIAL_N}, got {n}")
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
-    ball = ball_value(n, t, table_cap)
+    ball = ball_value(n, t)
     smooth, cofactor = factorize(ball, n)
     if cofactor > 1:
         return Certificate(n, t, ball, smooth, NONEXISTENT_PRIME_FACTOR, witness=cofactor)
@@ -148,45 +148,29 @@ def certify(n: int, t: int, *, table_cap: int = DEFAULT_TABLE_CAP) -> Certificat
     return Certificate(n, t, ball, smooth, INCONCLUSIVE)
 
 
-def _certify_entry(n: int, t: int, table_cap: int) -> Certificate:
-    return certify(n, t, table_cap=table_cap)
-
-
-def scan(
-    t: int,
-    n_from: int,
-    n_to: int,
-    *,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    jobs: int = 1,
-) -> list[Certificate]:
+def scan(t: int, n_from: int, n_to: int, *, jobs: int = 1) -> list[Certificate]:
     """One certificate per n in [n_from, n_to], in order.
 
-    Range problems (group sizes the table cap cannot serve) are rejected
-    up front, before any work.  With ``jobs`` above 1 the entries are
-    shared out to that many processes.
+    Range problems are rejected up front, before any work: the work on a
+    ball grows with n, so the range is served when (n_to, t) is.  With
+    ``jobs`` above 1 the entries are shared out to that many processes.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
     if n_to < n_from:
         raise ValueError(f"empty scan range [{n_from}, {n_to}]")
-    if n_to > MAX_FACTORIAL_N:
-        raise ValueError(f"scan supports group sizes up to {MAX_FACTORIAL_N}, got {n_to}")
-    if t < 0:
-        raise ValueError(f"radius must be nonnegative, got {t}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_served(n_to, t)
     ns = range(n_from, n_to + 1)
-    _check_table_cap(n_to, t, table_cap)  # the largest group needs the most
     if jobs > 1:
-        worker = functools.partial(_certify_entry, t=t, table_cap=table_cap)
         chunksize = max(1, len(ns) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, ns, chunksize=chunksize))
-    return [certify(n, t, table_cap=table_cap) for n in ns]
+            return list(pool.map(functools.partial(certify, t=t), ns, chunksize=chunksize))
+    return [certify(n, t) for n in ns]
 
 
-def check_certificate(cert: Certificate, *, table_cap: int = DEFAULT_TABLE_CAP) -> bool:
+def check_certificate(cert: Certificate) -> bool:
     """Recompute every claim in a certificate from (n, t); False on any mismatch.
 
     Validates the ball value and its split: smooth primes are primes up
@@ -196,13 +180,17 @@ def check_certificate(cert: Certificate, *, table_cap: int = DEFAULT_TABLE_CAP) 
     supports, with its witness: the cofactor, or a prime whose exponent in
     the ball exceeds its exponent in n!.  n! is never built.
 
-    Raises ValueError when ``table_cap`` refuses to recompute the ball: a
-    refusal says nothing about the record.
+    A record outside the range :func:`ball_value` serves is rejected
+    unrecomputed: :func:`certify` never makes one.
     """
     n, smooth = cert.n, cert.factorization
-    if cert.verdict not in VERDICTS or not 2 <= n <= MAX_FACTORIAL_N or cert.t < 0:
+    if cert.verdict not in VERDICTS:
         return False
-    if cert.ball != ball_value(n, cert.t, table_cap):
+    try:
+        ball = ball_value(n, cert.t)
+    except ValueError:
+        return False
+    if cert.ball != ball:
         return False
     primes = [p for p, _ in smooth]
     if primes != sorted(set(primes)):

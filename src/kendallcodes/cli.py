@@ -39,77 +39,79 @@ def build_parser() -> argparse.ArgumentParser:
             "Kendall tau metric, and divisibility certificates against "
             "perfect permutation codes."
         ),
+        epilog=(
+            f"Balls are served for 2 <= n <= {certifier.MAX_FACTORIAL_N} while"
+            f" min(n, r)*r <= {certifier.MAX_BALL_WORK}, r clamped at the diameter."
+        ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    records = argparse.ArgumentParser(add_help=False)
+    records.add_argument(
         "--format",
         choices=("tsv", "records", "pretty"),
-        default=None,
-        help="output style where applicable (default: records for certify/scan, tsv for table)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for scan (default 1)"
-    )
-    common.add_argument(
-        "--search-budget",
-        type=int,
-        default=oracle.DEFAULT_SEARCH_BUDGET,
-        help="node budget for exhaustive code searches in verify",
-    )
-    common.add_argument(
-        "--table-cap",
-        type=int,
-        default=certifier.DEFAULT_TABLE_CAP,
-        help="largest group size for table, and for radii beyond the closed forms (above 5)",
+        default="records",
+        help="output style (default: records)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sphere", parents=[common], help="count permutations at distance i")
+    p = sub.add_parser("sphere", help="count permutations at distance i")
     p.add_argument("--n", type=int, required=True, help="group size")
     p.add_argument("--i", type=int, required=True, help="distance (out of range gives 0)")
     p.set_defaults(func=cmd_sphere)
 
-    p = sub.add_parser("ball", parents=[common], help="count permutations within distance r")
+    p = sub.add_parser("ball", help="count permutations within distance r")
     p.add_argument("--n", type=int, required=True, help="group size")
     p.add_argument("--r", type=int, required=True, help="radius (clamps at the diameter)")
     p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("certify", parents=[common], help="divisibility verdict for one (n, t)")
+    p = sub.add_parser("certify", parents=[records], help="divisibility verdict for one (n, t)")
     p.add_argument("--n", type=int, required=True, help="group size")
     p.add_argument("--t", type=int, required=True, help="error-correction radius")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("scan", parents=[common], help="certify a range of group sizes")
+    p = sub.add_parser("scan", parents=[records], help="certify a range of group sizes")
     p.add_argument("--t", type=int, required=True, help="error-correction radius")
     p.add_argument("--from", dest="n_from", type=int, required=True, help="first group size")
     p.add_argument("--to", dest="n_to", type=int, required=True, help="last group size")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("table", parents=[common], help="stream sphere/ball sizes as TSV")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True, help="largest group size")
+    p = sub.add_parser("table", help="stream sphere/ball sizes as TSV")
+    p.add_argument(
+        "--max-n",
+        dest="max_n",
+        type=int,
+        required=True,
+        help=f"largest group size (at most {mahonian.MAX_TABLE_N})",
+    )
     p.add_argument(
         "--max-r", dest="max_r", type=int, default=None, help="largest distance per group size"
     )
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common], help="brute-force cross-checks for one n")
+    p = sub.add_parser("verify", help="brute-force cross-checks for one n")
     p.add_argument("--n", type=int, required=True, help="group size (at most 10)")
+    p.add_argument(
+        "--search-budget",
+        type=int,
+        default=oracle.DEFAULT_SEARCH_BUDGET,
+        help="node budget for the exhaustive single-error code search",
+    )
     p.set_defaults(func=cmd_verify)
     return parser
 
 
 def cmd_sphere(args: argparse.Namespace) -> int:
     n, i = args.n, args.i
-    if n >= 2 and not 0 <= i <= mahonian.max_distance(n):
+    if 2 <= n <= certifier.MAX_FACTORIAL_N and not 0 <= i <= mahonian.max_distance(n):
         print(0)
         return EXIT_OK
-    ball = certifier.ball_value(n, i, args.table_cap)
-    print(ball - (certifier.ball_value(n, i - 1, args.table_cap) if i else 0))
+    ball = certifier.ball_value(n, i)
+    print(ball - (certifier.ball_value(n, i - 1) if i else 0))
     return EXIT_OK
 
 
 def cmd_ball(args: argparse.Namespace) -> int:
-    print(certifier.ball_value(args.n, args.r, args.table_cap))
+    print(certifier.ball_value(args.n, args.r))
     return EXIT_OK
 
 
@@ -134,29 +136,18 @@ def _certificates_exit_code(certs: list[certifier.Certificate]) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cert = certifier.certify(args.n, args.t, table_cap=args.table_cap)
-    _emit_certificates([cert], args.format or "records")
+    cert = certifier.certify(args.n, args.t)
+    _emit_certificates([cert], args.format)
     return _certificates_exit_code([cert])
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    certs = certifier.scan(
-        args.t,
-        args.n_from,
-        args.n_to,
-        table_cap=args.table_cap,
-        jobs=args.jobs,
-    )
-    _emit_certificates(certs, args.format or "records")
+    certs = certifier.scan(args.t, args.n_from, args.n_to, jobs=args.jobs)
+    _emit_certificates(certs, args.format)
     return _certificates_exit_code(certs)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.max_n > args.table_cap:
-        raise ValueError(
-            f"table up to n={args.max_n} exceeds the cap {args.table_cap}; "
-            "raise --table-cap if you mean it"
-        )
     table = mahonian.build_table(args.max_n)
     for line in mahonian.table_tsv_lines(table, max_r=args.max_r):
         print(line)
@@ -197,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report("ball censuses around two centers match row prefix sums", ok)
     if n <= oracle.MAX_SEARCH_N - 1:
         result = oracle.search_perfect_code(n, 1, node_budget=args.search_budget)
-        cert = certifier.certify(n, 1, table_cap=args.table_cap)
+        cert = certifier.certify(n, 1)
         if result.outcome == oracle.ABORTED_BUDGET:
             print(f"SKIP perfect single-error code search hit the node budget at n={n}")
         else:

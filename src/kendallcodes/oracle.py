@@ -136,6 +136,8 @@ def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
     sizes = {len(pi) for pi in members}
     if len(sizes) > 1:
         raise ValueError(f"codewords of mixed sizes {sorted(sizes)}")
+    if d == 1:  # a metric puts distinct points at distance at least 1
+        return len(set(members)) == len(members)
     for a, b in itertools.combinations(members, 2):
         if kendall_distance(a, b) < d:
             return False

@@ -3,14 +3,22 @@
 The coefficients of Euler's product stop being pentagonal signs past
 r = n, and the radius clamps at the diameter D; both edges are pinned
 against the recurrence table.  Certificates and their re-checks must not
-build a table at all.
+build a table at all.  The served balls end at a fixed bound on the work,
+min(n, r) * r steps, pinned from both sides.
 """
 
 import pytest
 
 from kendallcodes import certifier, mahonian
-from kendallcodes.certifier import ball_value, certify, check_certificate
-from kendallcodes.cli import EXIT_OK, EXIT_VALIDATION, main
+from kendallcodes.certifier import (
+    MAX_BALL_WORK,
+    ball_value,
+    certify,
+    check_certificate,
+    parse_certificate,
+    scan,
+)
+from kendallcodes.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_VALIDATION, main
 from kendallcodes.mahonian import ball_count, ball_size, max_distance
 
 
@@ -41,13 +49,60 @@ def test_trivial_group_and_bad_arguments():
         ball_count(5, -1)
 
 
-def test_default_cap_serves_128_and_refuses_129_at_radius_6(capsys):
-    assert ball_value(128, 6) == ball_count(128, 6)
-    assert main(["certify", "--n", "128", "--t", "6"]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["certify", "--n", "129", "--t", "6"]) == EXIT_VALIDATION
+# min(n, r) * r for r = min(t, D): the steps ball_count takes
+EDGES_WITHIN = [(128, max_distance(128)), (129, 6), (200, 5201), (1019, 1020), (10000, 1019)]
+EDGES_PAST = [(10000, 1020), (10000, 1021), (1019, 1021), (200, 5202)]
+
+
+def test_the_work_bound_is_the_old_default_at_the_diameter_of_s128():
+    assert MAX_BALL_WORK == 128 * 8128 == 1_040_384
+    for n, t in EDGES_WITHIN:
+        assert min(n, t) * t <= MAX_BALL_WORK, (n, t)
+    for n, t in EDGES_PAST:
+        assert min(n, t) * t > MAX_BALL_WORK, (n, t)
+
+
+@pytest.mark.parametrize("n, t", EDGES_WITHIN)
+def test_balls_within_the_work_bound_are_served(n, t):
+    assert ball_value(n, t) == ball_count(n, t)
+    cert = certify(n, t)
+    assert cert.ball == ball_count(n, t)
+    assert check_certificate(cert)
+
+
+def test_radius_6_past_n_128_is_served_by_the_cli(capsys):
+    assert main(["certify", "--n", "129", "--t", "6"]) in (EXIT_OK, EXIT_INCONCLUSIVE)
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err == ""
+    assert parse_certificate(captured.out) == certify(129, 6)
+
+
+@pytest.mark.parametrize("n, t", EDGES_PAST)
+def test_balls_past_the_work_bound_are_refused(capsys, n, t):
+    with pytest.raises(ValueError, match="past the bound"):
+        ball_value(n, t)
+    with pytest.raises(ValueError, match="past the bound"):
+        certify(n, t)
+    with pytest.raises(ValueError, match="past the bound"):
+        scan(t, n, n)
+    for argv in (
+        ["certify", "--n", str(n), "--t", str(t)],
+        ["scan", "--t", str(t), "--from", str(n - 1), "--to", str(n)],
+        ["ball", "--n", str(n), "--r", str(t)],
+        ["sphere", "--n", str(n), "--i", str(t)],
+    ):
+        assert main(argv) == EXIT_VALIDATION, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "past the bound" in captured.err, argv
+
+
+def test_scan_refuses_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no certificate may be made")
+
+    monkeypatch.setattr(certifier, "certify", refuse)
+    with pytest.raises(ValueError, match="past the bound"):
+        scan(1020, 2, 10000)
 
 
 def test_certify_and_check_build_no_table(monkeypatch):

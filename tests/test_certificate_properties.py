@@ -7,6 +7,7 @@ checker must reject every such record, and accept the genuine one.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -15,12 +16,14 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from kendallcodes.certifier import (  # noqa: E402
+    MAX_BALL_WORK,
     VERDICTS,
     certify,
     check_certificate,
     format_certificate,
     parse_certificate,
 )
+from kendallcodes.mahonian import max_distance  # noqa: E402
 from kendallcodes.numtheory import MAX_FACTORIAL_N  # noqa: E402
 
 
@@ -30,6 +33,20 @@ def group_and_radius(draw):
     if draw(st.booleans()):
         return draw(st.integers(2, MAX_FACTORIAL_N)), draw(st.integers(0, 5))
     return draw(st.integers(2, 128)), draw(st.integers(0, 60))
+
+
+def largest_served_radius(n):
+    """The largest t with min(n, t) * t within the work bound (t clamps at D)."""
+    if n * n > MAX_BALL_WORK:
+        return math.isqrt(MAX_BALL_WORK)
+    return min(max_distance(n), MAX_BALL_WORK // n)
+
+
+@st.composite
+def past_n_128(draw):
+    """Radii above 5 for n above 128, up to the work bound."""
+    n = draw(st.integers(129, MAX_FACTORIAL_N))
+    return n, draw(st.integers(6, largest_served_radius(n)))
 
 
 # Exponent verdicts are rare among random draws; these are all of them for
@@ -66,7 +83,9 @@ def single_field_mutations(cert):
 
 @settings(max_examples=150, deadline=None)
 @with_exponent_verdicts
-@given(group_and_radius())
+@example((129, largest_served_radius(129)))
+@example((10000, largest_served_radius(10000)))
+@given(st.one_of(group_and_radius(), past_n_128()))
 def test_record_roundtrip(case):
     cert = certify(*case)
     line = format_certificate(cert)

@@ -23,6 +23,7 @@ from kendallcodes.certifier import (
     scan,
     witness_factor_families,
 )
+from kendallcodes.mahonian import max_distance
 from kendallcodes.numtheory import MAX_FACTORIAL_N
 from kendallcodes.numtheory import is_probable_prime
 
@@ -189,7 +190,7 @@ def test_scan_validates_arguments():
     with pytest.raises(ValueError):
         scan(3, 2, 5, jobs=0)
     with pytest.raises(ValueError):
-        scan(6, 2, 200, table_cap=128)  # table route cannot reach n=200
+        scan(1020, 9999, 10000)  # 1020^2 steps at n=10000, past the work bound
 
 
 def test_scan_parallel_matches_serial():
@@ -206,7 +207,7 @@ def test_verdicts_match_factorial_residues():
     # independent oracle: a perfect code is ruled out exactly when B does not
     # divide n!, decided here by a running product of n! modulo B
     for t in range(9):
-        for cert in scan(t, 2, 300, table_cap=300):
+        for cert in scan(t, 2, 300):
             residue = 1
             for k in range(2, cert.n + 1):
                 residue = residue * k % cert.ball
@@ -216,10 +217,12 @@ def test_verdicts_match_factorial_residues():
 def test_ball_value_routes():
     assert ball_value(13, 3) == 441
     assert ball_value(4, 600) == 24  # clamps at the diameter
-    assert ball_value(6, 7) == 360  # table route, built on demand
-    assert ball_value(1000, 5) == 8416791081700  # closed form, far past any table
+    assert ball_value(6, 7) == 360
+    assert ball_value(1000, 5) == 8416791081700
     with pytest.raises(ValueError):
-        ball_value(200, 6, table_cap=128)
+        ball_value(10001, 2)  # past the group sizes served
+    with pytest.raises(ValueError):
+        ball_value(10000, 1020)  # past the work bound
     with pytest.raises(ValueError):
         ball_value(1, 1)
     with pytest.raises(ValueError):
@@ -336,15 +339,13 @@ def test_checker_rejects_underived_witness_free_claims():
     assert check_certificate(dataclasses.replace(fake, verdict=INCONCLUSIVE))
 
 
-def test_checker_raises_when_the_cap_refuses_the_ball():
-    # a cap refusal is not a verdict: the record may be genuine
-    cert = certify(140, 7, table_cap=140)
-    assert cert.verdict == NONEXISTENT_PRIME_FACTOR
-    assert check_certificate(cert, table_cap=140)
-    with pytest.raises(ValueError, match="table cap"):
-        check_certificate(cert)
-    with pytest.raises(ValueError, match="table cap"):
-        check_certificate(dataclasses.replace(cert, ball=cert.ball + 1))
+def test_checker_rejects_records_past_the_work_bound():
+    # certify never makes such a record, so the checker refuses it unrecomputed
+    cert = certify(10000, 1019)
+    assert check_certificate(cert)
+    for t in (1020, 1021, 10**100):
+        assert not check_certificate(dataclasses.replace(cert, t=t)), t
+    assert not check_certificate(dataclasses.replace(cert, n=200, t=max_distance(200)))
 
 
 def test_checker_rejects_records_outside_the_served_ranges():

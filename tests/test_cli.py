@@ -22,7 +22,7 @@ from kendallcodes.cli import (
     EXIT_VALIDATION,
     main,
 )
-from kendallcodes.mahonian import sphere_size
+from kendallcodes.mahonian import MAX_TABLE_N, ball_count, sphere_size
 
 
 def run_cli(capsys, *argv):
@@ -44,15 +44,14 @@ def test_sphere_table_route_and_cap(capsys, table150):
     assert code == EXIT_OK
     assert out.strip() == str(sphere_size(table150, 20, 10))
 
-    code, _, err = run_cli(capsys, "sphere", "--n", "140", "--i", "10")
-    assert code == EXIT_VALIDATION
-    assert err.startswith("error:")
-
-    code, out, _ = run_cli(
-        capsys, "sphere", "--n", "140", "--i", "10", "--table-cap", "140"
-    )
+    code, out, _ = run_cli(capsys, "sphere", "--n", "140", "--i", "10")
     assert code == EXIT_OK
     assert out.strip() == str(sphere_size(table150, 140, 10))
+
+    for i in ("3", "-1"):
+        code, out, err = run_cli(capsys, "sphere", "--n", "10001", "--i", i)
+        assert (code, out) == (EXIT_VALIDATION, ""), i
+        assert err.startswith("error:") and "between 2 and 10000" in err, i
 
 
 def test_sphere_rejects_tiny_group(capsys):
@@ -67,11 +66,22 @@ def test_ball_values(capsys, table150):
     assert run_cli(capsys, "ball", "--n", "2", "--r", "0") == (EXIT_OK, "1\n", "")
     assert run_cli(capsys, "ball", "--n", "6", "--r", "7") == (EXIT_OK, "360\n", "")
 
-    code, _, _ = run_cli(capsys, "ball", "--n", "140", "--r", "7")
-    assert code == EXIT_VALIDATION
-    code, out, _ = run_cli(capsys, "ball", "--n", "140", "--r", "7", "--table-cap", "140")
+    code, out, _ = run_cli(capsys, "ball", "--n", "140", "--r", "7")
     assert code == EXIT_OK
     assert out.strip() == str(sum(table150.row(140)[:8]))
+
+
+def test_ball_serves_group_sizes_up_to_10000_only(capsys):
+    # at n = 10^900 a radius-5 ball would be too long to print
+    for n in ("10001", str(10**900)):
+        code, out, err = run_cli(capsys, "ball", "--n", n, "--r", "5")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error:") and "between 2 and 10000" in err
+        assert "digits" not in err
+    code, out, err = run_cli(capsys, "ball", "--n", "10000", "--r", "1019")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == f"{ball_count(10000, 1019)}\n"
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_certify_nonexistent_exits_zero(capsys):
@@ -204,9 +214,9 @@ def test_table_golden(capsys):
 
 
 def test_table_respects_cap(capsys):
-    code, _, err = run_cli(capsys, "table", "--max-n", "200")
-    assert code == EXIT_VALIDATION
-    assert "table-cap" in err
+    code, out, err = run_cli(capsys, "table", "--max-n", "257")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error:") and str(MAX_TABLE_N) in err
 
 
 def test_verify_passes_small_groups(capsys):
@@ -260,6 +270,34 @@ def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as info:  # verdicts need no factoring budget
         main(["certify", "--n", "5", "--t", "2", "--factor-budget", "0"])
     assert info.value.code == 2
+
+
+def test_options_belong_to_the_subcommands_that_read_them(capsys):
+    ignored = [
+        ["ball", "--n", "5", "--r", "3", "--jobs", "7"],
+        ["ball", "--n", "5", "--r", "3", "--search-budget", "9"],
+        ["ball", "--n", "5", "--r", "3", "--format", "pretty"],
+        ["sphere", "--n", "5", "--i", "3", "--format", "tsv"],
+        ["table", "--max-n", "4", "--format", "pretty"],
+        ["certify", "--n", "5", "--t", "2", "--jobs", "2"],
+        ["certify", "--n", "5", "--t", "2", "--search-budget", "9"],
+        ["scan", "--t", "2", "--from", "4", "--to", "6", "--search-budget", "9"],
+        ["verify", "--n", "4", "--format", "records"],
+        ["verify", "--n", "4", "--jobs", "2"],
+    ]
+    for argv in ignored:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+    read = [
+        ["certify", "--n", "5", "--t", "2", "--format", "tsv"],
+        ["scan", "--t", "3", "--from", "4", "--to", "6", "--format", "pretty", "--jobs", "2"],
+        ["verify", "--n", "4", "--search-budget", "9"],
+    ]
+    for argv in read:
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
 
 
 def test_repeated_calls_print_identical_bytes(capsys):

@@ -5,6 +5,7 @@ own tests lean on literal frozen values and internal consistency.
 """
 
 import random
+import time
 
 import pytest
 
@@ -105,6 +106,15 @@ def test_verify_min_distance():
         verify_min_distance(((1, 2, 3),), 0)
 
 
+def test_verify_min_distance_one_is_distinctness():
+    assert verify_min_distance(tuple(enumerate_sn(4)), 1)
+    assert not verify_min_distance(((1, 2, 3), (3, 2, 1), (1, 2, 3)), 1)
+    with pytest.raises(ValueError):
+        verify_min_distance(((1, 2, 3), (1, 1, 3)), 1)  # still validated
+    with pytest.raises(ValueError):
+        verify_min_distance(((1, 2), (1, 2), (1, 2, 3)), 1)
+
+
 def test_search_finds_the_classic_small_code():
     result = search_perfect_code(3, 1)
     assert result.outcome == FOUND
@@ -126,6 +136,16 @@ def test_search_radius_zero_takes_everything():
         assert result.outcome == FOUND
         assert result.code == tuple(enumerate_sn(n))
         assert verify_min_distance(result.code, 1)
+
+
+def test_search_radius_zero_rechecks_by_distinctness():
+    # distinctness settles distance 1; pairwise distances take seconds at n = 6
+    start = time.perf_counter()
+    result = search_perfect_code(6, 0)
+    elapsed = time.perf_counter() - start
+    assert result.outcome == FOUND
+    assert len(result.code) == 720 and result.nodes_explored == 720
+    assert elapsed < 0.5, elapsed
 
 
 def test_search_exhausts_without_a_code():
