@@ -11,7 +11,8 @@ arithmetic throughout:
   t-error-correcting code (``certifier``).
 
 ``perms`` supplies the group arithmetic, ``numtheory`` the n-smooth
-split of a ball size and factorial divisibility without n!, and
+split of a ball size, sieve primality and factorial divisibility without
+n! (``math.factorial`` serves the few places that need n! itself), and
 ``oracle`` brute-force ground truth for small n, including an exhaustive
 perfect-code search.
 """
@@ -46,7 +47,6 @@ from .mahonian import (
 from .numtheory import (
     Factorization,
     divides_factorial,
-    factorial,
     factorial_valuation,
     factorize,
     format_factorization,
@@ -73,7 +73,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "Certificate",
@@ -101,7 +101,6 @@ __all__ = [
     "table_tsv_lines",
     "Factorization",
     "divides_factorial",
-    "factorial",
     "factorial_valuation",
     "factorize",
     "format_factorization",

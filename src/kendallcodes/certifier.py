@@ -14,9 +14,12 @@ n, and the n-rough cofactor that remains.
 * otherwise B divides n! and divisibility alone decides nothing
   (INCONCLUSIVE).
 
-Neither n! nor a factorization of the cofactor is ever computed, and no
-step rests on an unproven primality test.  A checker re-verifies every
-claim from (n, t) alone without trusting any intermediate computation.
+Neither n! nor a factorization of the cofactor is ever computed, and
+primality is read from a sieve, so no step rests on an unproven test.  A
+checker recomputes the ball and re-verifies its split from (n, t) alone,
+without trusting any intermediate computation, and then accepts only the
+verdict and witness that the one verdict rule, shared with `certify`,
+derives from that split.
 
 Certificates serialize to one flat key=value record per line with a fixed
 field order (record format v2), so scan output is byte-stable and
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
@@ -34,12 +38,12 @@ from typing import Callable, ClassVar, Optional
 from .mahonian import ball_count, max_distance
 
 # Not used here: the benchmark's per-layer tracer wraps these names at this site.
+from math import factorial  # noqa: F401
 from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
-from .numtheory import factorial  # noqa: F401
+from .numtheory import divides_factorial  # noqa: F401
 from .numtheory import (
-    MAX_FACTORIAL_N,
+    MAX_GROUP_N,
     Factorization,
-    divides_factorial,
     factorial_valuation,
     factorize,
     format_factorization,
@@ -93,8 +97,8 @@ def _check_served(n: int, t: int) -> None:
     ``ball_count`` takes min(n, r) * r steps for r = min(t, D); the bound
     on that work is the most the n = 128 diameter needs.
     """
-    if not 2 <= n <= MAX_FACTORIAL_N:
-        raise ValueError(f"group size must be between 2 and {MAX_FACTORIAL_N}, got {n}")
+    if not 2 <= n <= MAX_GROUP_N:
+        raise ValueError(f"group size must be between 2 and {MAX_GROUP_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
     r = min(t, max_distance(n))
@@ -108,7 +112,7 @@ def _check_served(n: int, t: int) -> None:
 def ball_value(n: int, t: int) -> int:
     """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the served range.
 
-    That range is 2 <= n <= MAX_FACTORIAL_N, t >= 0 and min(n, r) * r <=
+    That range is 2 <= n <= MAX_GROUP_N, t >= 0 and min(n, r) * r <=
     MAX_BALL_WORK with r = min(t, D); radii beyond the diameter D clamp
     to the whole group.
     """
@@ -116,44 +120,37 @@ def ball_value(n: int, t: int) -> int:
     return ball_count(n, t)
 
 
-def _legendre_violation(
-    smooth: Factorization, n: int
-) -> Optional[tuple[int, tuple[int, int]]]:
-    """Smallest prime dividing the smooth part more often than n!, if any."""
+def _verdict(
+    n: int, smooth: Factorization, cofactor: int
+) -> tuple[str, Optional[int], Optional[tuple[int, int]]]:
+    """``(verdict, witness, witness_exponents)`` for the n-smooth split of a ball.
+
+    A cofactor above 1 is its own witness; otherwise the witness is the
+    smallest prime dividing the smooth part more often than n!, if any.
+    """
+    if cofactor > 1:
+        return NONEXISTENT_PRIME_FACTOR, cofactor, None
     for p, in_ball in smooth:
         allowed = factorial_valuation(n, p)
         if in_ball > allowed:
-            return p, (in_ball, allowed)
-    return None
+            return NONEXISTENT_NOT_DIVIDING, p, (in_ball, allowed)
+    return INCONCLUSIVE, None, None
 
 
 def certify(n: int, t: int) -> Certificate:
     """Decide by divisibility whether a perfect t-code in S_n is ruled out."""
     ball = ball_value(n, t)
     smooth, cofactor = factorize(ball, n)
-    if cofactor > 1:
-        return Certificate(n, t, ball, smooth, NONEXISTENT_PRIME_FACTOR, witness=cofactor)
-    violation = _legendre_violation(smooth, n)
-    if violation is not None:
-        p, exponents = violation
-        return Certificate(
-            n,
-            t,
-            ball,
-            smooth,
-            NONEXISTENT_NOT_DIVIDING,
-            witness=p,
-            witness_exponents=exponents,
-        )
-    return Certificate(n, t, ball, smooth, INCONCLUSIVE)
+    return Certificate(n, t, ball, smooth, *_verdict(n, smooth, cofactor))
 
 
 def scan(t: int, n_from: int, n_to: int, *, jobs: int = 1) -> list[Certificate]:
     """One certificate per n in [n_from, n_to], in order.
 
     Range problems are rejected up front, before any work: the work on a
-    ball grows with n, so the range is served when (n_to, t) is.  With
-    ``jobs`` above 1 the entries are shared out to that many processes.
+    ball grows with n, so the range is served when (n_to, t) is.  The
+    entries are shared out to min(jobs, range length, CPU count) worker
+    processes, and one worker means no pool at all.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
@@ -163,9 +160,10 @@ def scan(t: int, n_from: int, n_to: int, *, jobs: int = 1) -> list[Certificate]:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     _check_served(n_to, t)
     ns = range(n_from, n_to + 1)
-    if jobs > 1:
-        chunksize = max(1, len(ns) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(ns), os.cpu_count() or 1)
+    if workers > 1:
+        chunksize = max(1, len(ns) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(functools.partial(certify, t=t), ns, chunksize=chunksize))
     return [certify(n, t) for n in ns]
 
@@ -174,18 +172,16 @@ def check_certificate(cert: Certificate) -> bool:
     """Recompute every claim in a certificate from (n, t); False on any mismatch.
 
     Validates the ball value and its split: smooth primes are primes up
-    to n, the smooth part times the cofactor is the ball, and a cofactor
-    above 1 has no prime factor up to n (trial division up to
-    min(n, sqrt(cofactor))).  Then the verdict must be the one that split
-    supports, with its witness: the cofactor, or a prime whose exponent in
-    the ball exceeds its exponent in n!.  n! is never built.
+    to n with exponents the ball can hold, the smooth part times the
+    cofactor is the ball, and a cofactor above 1 exceeds n and has no
+    prime factor up to n (trial division up to min(n, sqrt(cofactor))).
+    The verdict and witness must then be the ones :func:`certify` derives
+    from that split.  n! is never built.
 
     A record outside the range :func:`ball_value` serves is rejected
     unrecomputed: :func:`certify` never makes one.
     """
     n, smooth = cert.n, cert.factorization
-    if cert.verdict not in VERDICTS:
-        return False
     try:
         ball = ball_value(n, cert.t)
     except ValueError:
@@ -196,32 +192,18 @@ def check_certificate(cert: Certificate) -> bool:
     if primes != sorted(set(primes)):
         return False
     # p ** e with e past the ball's bit length cannot divide it; refuse it unbuilt
-    if any(not 1 <= e <= cert.ball.bit_length() for _, e in smooth):
+    if any(not 1 <= e <= ball.bit_length() for _, e in smooth):
         return False
     if any(p > n or not is_probable_prime(p) for p in primes):
         return False
     cofactor = cert.cofactor
-    if cofactor is None or math.prod(p**e for p, e in smooth) * cofactor != cert.ball:
+    if cofactor is None or math.prod(p**e for p, e in smooth) * cofactor != ball:
         return False
-    if cert.verdict == NONEXISTENT_PRIME_FACTOR:
-        return (
-            cert.witness_exponents is None
-            and cofactor > n
-            and all(cofactor % p for p in primes_up_to(min(n, math.isqrt(cofactor))))
-        )
-    # the cofactor is 1: the smooth part is the whole ball
-    if cert.verdict == NONEXISTENT_NOT_DIVIDING:
-        p = cert.witness
-        in_ball = dict(smooth).get(p)
-        if in_ball is None:
-            return False
-        allowed = factorial_valuation(n, p)
-        return cert.witness_exponents == (in_ball, allowed) and in_ball > allowed
-    return (
-        cert.witness is None
-        and cert.witness_exponents is None
-        and divides_factorial(smooth, n)
-    )
+    if cofactor > 1 and not (
+        cofactor > n and all(cofactor % p for p in primes_up_to(min(n, math.isqrt(cofactor))))
+    ):
+        return False
+    return (cert.verdict, cert.witness, cert.witness_exponents) == _verdict(n, smooth, cofactor)
 
 
 RECORD_FIELDS = (

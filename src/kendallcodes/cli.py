@@ -9,11 +9,12 @@ scan      certify a whole range of group sizes at one radius
 table     stream sphere and ball sizes as TSV
 verify    cross-check the recurrence against brute-force enumeration
 
-Exit codes: 0 success (including proven nonexistence), 2 validation error,
-3 inconclusive verdict.  All numeric output is exact decimal; records
-(format v2) are stable byte-for-byte for fixed inputs, so they can be
-diffed and archived.  Verdicts come from the n-smooth split of the ball,
-which always completes, so no budget can leave a verdict open.
+Exit codes: 0 success (including proven nonexistence), 1 a failed
+``verify`` check, 2 validation error, 3 inconclusive verdict.  All
+numeric output is exact decimal; records (format v2) are stable
+byte-for-byte for fixed inputs, so they can be diffed and archived.
+Verdicts come from the n-smooth split of the ball, which always
+completes, so no budget can leave a verdict open.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import factorial
 from typing import Optional, Sequence
 
 from . import certifier, mahonian, oracle
-from .numtheory import factorial
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 
@@ -40,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
             "perfect permutation codes."
         ),
         epilog=(
-            f"Balls are served for 2 <= n <= {certifier.MAX_FACTORIAL_N} while"
+            f"Balls are served for 2 <= n <= {certifier.MAX_GROUP_N} while"
             f" min(n, r)*r <= {certifier.MAX_BALL_WORK}, r clamped at the diameter."
         ),
     )
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sphere(args: argparse.Namespace) -> int:
     n, i = args.n, args.i
-    if 2 <= n <= certifier.MAX_FACTORIAL_N and not 0 <= i <= mahonian.max_distance(n):
+    if 2 <= n <= certifier.MAX_GROUP_N and not 0 <= i <= mahonian.max_distance(n):
         print(0)
         return EXIT_OK
     ball = certifier.ball_value(n, i)
@@ -198,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             report("exhaustive single-error code search agrees with the certificate", consistent)
     print(("OK" if failures == 0 else "FAILED") + f" verify n={n}")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
 @functools.cache

@@ -4,14 +4,13 @@ Only primes up to n divide n!, so a divisibility verdict against n! needs
 no more of a value than its *n-smooth split*: the factorization over the
 primes up to n, and the *n-rough cofactor* that remains once those primes
 are divided out.  `factorize` computes that split by trial division with
-the primes of a sieve up to `MAX_FACTORIAL_N`, the largest group size the
+the primes of one sieve up to `MAX_GROUP_N`, the largest group size the
 certifier serves.  Nothing is left to chance or to a budget: the cofactor
 is never split further, because its primes cannot divide n! anyway.
 
-Primality is Miller-Rabin on the thirteen prime bases up to 41, which is
-proven exact below 3.3e24; above that bound `is_probable_prime` raises
-instead of guessing.  Every prime the package tests is at most
-`MAX_FACTORIAL_N`.
+Every prime the package tests is at most n <= `MAX_GROUP_N`, so
+primality is membership in that same sieve, exact with no assumption;
+`is_probable_prime` refuses larger inputs instead of guessing.
 
 Divisibility against n! uses the valuation identity: the exponent of p in
 n! is the sum of floor(n/p^k) over k >= 1.
@@ -26,64 +25,41 @@ from typing import Iterable
 
 Factorization = tuple[tuple[int, int], ...]
 
-MAX_FACTORIAL_N = 10_000
+MAX_GROUP_N = 10_000
+
+
+@lru_cache(maxsize=1)
+def _sieve() -> bytes:
+    """Flags indexed by 0..MAX_GROUP_N: 1 exactly at the primes."""
+    sieve = bytearray([1]) * (MAX_GROUP_N + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(MAX_GROUP_N) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return bytes(sieve)
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * (MAX_FACTORIAL_N + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(MAX_FACTORIAL_N) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(i for i, flag in enumerate(_sieve()) if flag)
 
 
 def primes_up_to(bound: int) -> tuple[int, ...]:
-    """The primes p <= bound, ascending, for 0 <= bound <= MAX_FACTORIAL_N."""
-    if not 0 <= bound <= MAX_FACTORIAL_N:
-        raise ValueError(f"prime bound must be between 0 and {MAX_FACTORIAL_N}, got {bound}")
+    """The primes p <= bound, ascending, for 0 <= bound <= MAX_GROUP_N."""
+    if not 0 <= bound <= MAX_GROUP_N:
+        raise ValueError(f"prime bound must be between 0 and {MAX_GROUP_N}, got {bound}")
     primes = _small_primes()
     return primes[: bisect_right(primes, bound)]
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# The smallest composite that passes Miller-Rabin on all thirteen bases
-# above (Sorenson and Webster, 2015).  The twelve bases up to 37 alone are
-# fooled already by 318665857834031151167461.
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+def is_probable_prime(p: int) -> bool:
+    """Whether p is prime, read from the sieve: exact for every p <= MAX_GROUP_N.
 
-
-def is_probable_prime(n: int) -> bool:
-    """Exact primality for n below 3.3e24 by Miller-Rabin on thirteen bases.
-
-    Raises ValueError at or above that bound, where the test is not proven.
+    False for p < 2.  Raises ValueError above MAX_GROUP_N, past the sieve.
     """
-    if n >= _MR_PROVEN_BOUND:
-        raise ValueError(f"primality is proven only below {_MR_PROVEN_BOUND}, got {n}")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if p > MAX_GROUP_N:
+        raise ValueError(f"primality is decided up to {MAX_GROUP_N}, got {p}")
+    return p >= 2 and _sieve()[p] == 1
 
 
 def factorize(value: int, bound: int) -> tuple[Factorization, int]:
@@ -92,7 +68,7 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     ``smooth`` is ((prime, exponent), ...) over the primes p <= bound, in
     ascending order, and ``cofactor`` is the rest of ``value``, which has
     no prime factor <= bound; ``value == cofactor * prod(p**e)``.  Raises
-    ValueError for value < 1 and for a bound outside 0..MAX_FACTORIAL_N.
+    ValueError for value < 1 and for a bound outside 0..MAX_GROUP_N.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
@@ -121,7 +97,7 @@ def factorial_valuation(n: int, p: int) -> int:
     """
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
-    if p < 2 or not is_probable_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"valuation base must be prime, got {p}")
     total = 0
     q = p
@@ -136,13 +112,6 @@ def divides_factorial(factors: Factorization, n: int) -> bool:
     if n < 1:
         raise ValueError(f"group order argument must be at least 1, got {n}")
     return all(e <= factorial_valuation(n, p) for p, e in factors)
-
-
-def factorial(n: int) -> int:
-    """n! with an explicit size cap; use factorial_valuation for big n."""
-    if not 0 <= n <= MAX_FACTORIAL_N:
-        raise ValueError(f"factorial supports 0 <= n <= {MAX_FACTORIAL_N}, got {n}")
-    return math.factorial(n)
 
 
 def format_factorization(factors: Iterable[tuple[int, int]]) -> str:

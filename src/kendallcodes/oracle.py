@@ -34,9 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional, Sequence
 
-from .numtheory import factorial
 from .perms import (
     Permutation,
     check_permutation,

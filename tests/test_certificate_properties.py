@@ -24,14 +24,14 @@ from kendallcodes.certifier import (  # noqa: E402
     parse_certificate,
 )
 from kendallcodes.mahonian import max_distance  # noqa: E402
-from kendallcodes.numtheory import MAX_FACTORIAL_N  # noqa: E402
+from kendallcodes.numtheory import MAX_GROUP_N  # noqa: E402
 
 
 @st.composite
 def group_and_radius(draw):
     """Radii up to 5 anywhere in the served range; up to 60 within the table cap."""
     if draw(st.booleans()):
-        return draw(st.integers(2, MAX_FACTORIAL_N)), draw(st.integers(0, 5))
+        return draw(st.integers(2, MAX_GROUP_N)), draw(st.integers(0, 5))
     return draw(st.integers(2, 128)), draw(st.integers(0, 60))
 
 
@@ -45,7 +45,7 @@ def largest_served_radius(n):
 @st.composite
 def past_n_128(draw):
     """Radii above 5 for n above 128, up to the work bound."""
-    n = draw(st.integers(129, MAX_FACTORIAL_N))
+    n = draw(st.integers(129, MAX_GROUP_N))
     return n, draw(st.integers(6, largest_served_radius(n)))
 
 

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from kendallcodes import certifier
 from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
@@ -24,7 +25,7 @@ from kendallcodes.certifier import (
     witness_factor_families,
 )
 from kendallcodes.mahonian import max_distance
-from kendallcodes.numtheory import MAX_FACTORIAL_N
+from kendallcodes.numtheory import MAX_GROUP_N
 from kendallcodes.numtheory import is_probable_prime
 
 
@@ -100,7 +101,7 @@ def test_certify_inconclusive_verdicts():
     assert cert.verdict == INCONCLUSIVE
 
     # past n = 1560 the old quotient n!/B no longer printed; nothing big is stored now
-    cert = certify(MAX_FACTORIAL_N, 2)
+    cert = certify(MAX_GROUP_N, 2)
     assert cert.verdict == INCONCLUSIVE
     assert len(format_certificate(cert)) < 200
 
@@ -201,6 +202,39 @@ def test_scan_parallel_matches_serial():
 
 def test_scan_parallel_beyond_closed_forms_matches_serial():
     assert scan(6, 2, 40, jobs=2) == scan(6, 2, 40)
+
+
+def test_scan_clamps_its_workers(monkeypatch):
+    # the pool is replaced by one that records its size and maps in process,
+    # so no worker is ever started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    serial = scan(3, 4, 20)
+    monkeypatch.setattr(certifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(certifier.os, "cpu_count", lambda: 4)
+    assert scan(3, 4, 6, jobs=64) == serial[:3]
+    assert scan(3, 4, 20, jobs=64) == serial
+    assert scan(3, 4, 20, jobs=2) == serial
+    assert started == [3, 4, 2]
+    # one worker is the serial path: no pool at all
+    assert scan(3, 4, 4, jobs=64) == serial[:1]
+    assert scan(3, 4, 20, jobs=1) == serial
+    monkeypatch.setattr(certifier.os, "cpu_count", lambda: None)
+    assert scan(3, 4, 20, jobs=8) == serial
+    assert started == [3, 4, 2]
 
 
 def test_verdicts_match_factorial_residues():
@@ -351,7 +385,7 @@ def test_checker_rejects_records_past_the_work_bound():
 def test_checker_rejects_records_outside_the_served_ranges():
     base = certify(13, 3)
     assert not check_certificate(dataclasses.replace(base, n=1))
-    assert not check_certificate(dataclasses.replace(base, n=MAX_FACTORIAL_N + 1))
+    assert not check_certificate(dataclasses.replace(base, n=MAX_GROUP_N + 1))
     assert not check_certificate(dataclasses.replace(base, t=-1))
 
 

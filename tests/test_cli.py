@@ -4,11 +4,12 @@ Output lines and exit codes are frozen; records printed by certify/scan
 must parse back into the exact certificates the library produces.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
-from kendallcodes import certifier
+from kendallcodes import certifier, oracle
 from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
@@ -17,6 +18,7 @@ from kendallcodes.certifier import (
     parse_certificate,
 )
 from kendallcodes.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -252,6 +254,23 @@ def test_verify_refuses_a_nonpositive_budget_before_any_output(capsys):
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.startswith("error:") and "budget" in err
+
+
+def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
+    real = oracle.inversion_histogram
+
+    def miscounted(n, center=None):
+        histogram = real(n, center)
+        counts = histogram.counts
+        return dataclasses.replace(histogram, counts=counts[:-1] + (counts[-1] + 1,))
+
+    monkeypatch.setattr(oracle, "inversion_histogram", miscounted)
+    code, out, err = run_cli(capsys, "verify", "--n", "4")
+    assert code == EXIT_CHECK_FAILED == 1
+    lines = out.splitlines()
+    assert "FAIL distance distribution of S_4 matches the recurrence row" in lines
+    assert lines[-1] == "FAILED verify n=4"
+    assert err == ""
 
 
 def test_verify_rejects_large_groups(capsys):

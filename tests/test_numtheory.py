@@ -10,11 +10,9 @@ import random
 
 import pytest
 
-from kendallcodes import numtheory
 from kendallcodes.numtheory import (
-    MAX_FACTORIAL_N,
+    MAX_GROUP_N,
     divides_factorial,
-    factorial,
     factorial_valuation,
     factorize,
     format_factorization,
@@ -53,7 +51,7 @@ def test_factorize_golden_values():
     assert factorize(24, 4) == (((2, 3), (3, 1)), 1)
     assert factorize(24, 0) == ((), 24)
     # 2^32 + 1 = 641 * 6700417: the large prime stays in the cofactor
-    assert factorize(2**32 + 1, MAX_FACTORIAL_N) == (((641, 1),), 6700417)
+    assert factorize(2**32 + 1, MAX_GROUP_N) == (((641, 1),), 6700417)
     assert factorize(2**32 + 1, 640) == ((), 2**32 + 1)
 
 
@@ -68,7 +66,7 @@ def test_factorize_random_roundtrip():
     rng = random.Random(20260818)
     for _ in range(2000):
         v = rng.randrange(1, 2**36)
-        bound = rng.choice((0, 2, 30, 1000, MAX_FACTORIAL_N))
+        bound = rng.choice((0, 2, 30, 1000, MAX_GROUP_N))
         smooth, cofactor = factorize(v, bound)
         assert math.prod(p**e for p, e in smooth) * cofactor == v
         primes = [p for p, _ in smooth]
@@ -86,10 +84,10 @@ def test_factorize_beyond_trial_division():
         chosen = rng.sample(pool, rng.randint(1, 3))
         factors = {p: rng.randint(1, 2) for p in chosen}
         v = math.prod(p**e for p, e in factors.items())
-        smooth = tuple(sorted((p, e) for p, e in factors.items() if p <= MAX_FACTORIAL_N))
-        cofactor = math.prod(p**e for p, e in factors.items() if p > MAX_FACTORIAL_N)
-        assert factorize(v, MAX_FACTORIAL_N) == (smooth, cofactor)
-    assert factorize(P_BIG_1 * P_BIG_2, MAX_FACTORIAL_N) == ((), P_BIG_1 * P_BIG_2)
+        smooth = tuple(sorted((p, e) for p, e in factors.items() if p <= MAX_GROUP_N))
+        cofactor = math.prod(p**e for p, e in factors.items() if p > MAX_GROUP_N)
+        assert factorize(v, MAX_GROUP_N) == (smooth, cofactor)
+    assert factorize(P_BIG_1 * P_BIG_2, MAX_GROUP_N) == ((), P_BIG_1 * P_BIG_2)
     assert factorize(M31 * M31 * 12, 3) == (((2, 2), (3, 1)), M31 * M31)
 
 
@@ -102,9 +100,9 @@ def test_primes_up_to_and_the_bound_range():
     assert primes_up_to(0) == primes_up_to(1) == ()
     assert primes_up_to(2) == (2,)
     assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    assert primes_up_to(MAX_FACTORIAL_N) == tuple(_sieve(MAX_FACTORIAL_N))
-    assert primes_up_to(MAX_FACTORIAL_N)[-1] == 9973
-    for bound in (-1, MAX_FACTORIAL_N + 1):
+    assert primes_up_to(MAX_GROUP_N) == tuple(_sieve(MAX_GROUP_N))
+    assert primes_up_to(MAX_GROUP_N)[-1] == 9973
+    for bound in (-1, MAX_GROUP_N + 1):
         with pytest.raises(ValueError):
             primes_up_to(bound)
         with pytest.raises(ValueError):
@@ -112,31 +110,17 @@ def test_primes_up_to_and_the_bound_range():
 
 
 def test_is_probable_prime_matches_sieve():
-    sieve_primes = set(_sieve(30000))
-    for n in range(-2, 30000):
-        assert is_probable_prime(n) == (n in sieve_primes), n
-
-
-def test_is_probable_prime_spot_checks():
-    assert not is_probable_prime(41041)  # Carmichael
-    assert not is_probable_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
-    # strong pseudoprime to every prime base up to 37; base 41 exposes it
-    assert not is_probable_prime(318665857834031151167461)
-    assert is_probable_prime(999983)
-    assert is_probable_prime(1000003)
-    assert is_probable_prime(P_BIG_1)
-    assert is_probable_prime(2**61 - 1)
-
-
-def test_is_probable_prime_beyond_deterministic_bound():
-    # the base set is proven only below this bound; above it, refuse
-    bound = numtheory._MR_PROVEN_BOUND
-    assert bound == 3317044064679887385961981  # passes all thirteen bases
-    assert not is_probable_prime(bound - 1)  # even
-    assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
-    for n in (bound, bound + 1, 2**89 - 1, 2**127 - 1):
-        with pytest.raises(ValueError):
-            is_probable_prime(n)
+    # primality is membership in the sieve up to the largest served group
+    # size; a negative argument must not wrap around to a sieve entry
+    sieve_primes = set(_sieve(MAX_GROUP_N))
+    for p in range(-MAX_GROUP_N - 1, MAX_GROUP_N + 1):
+        assert is_probable_prime(p) == (p in sieve_primes), p
+    assert not any(is_probable_prime(p) for p in (-2, 0, 1, 10_000))
+    assert is_probable_prime(2) and is_probable_prime(9973)
+    with pytest.raises(ValueError):
+        is_probable_prime(MAX_GROUP_N + 1)
+    with pytest.raises(ValueError):
+        factorial_valuation(10**6, 10_007)
 
 
 def test_factorial_valuation_golden_values():
@@ -200,16 +184,6 @@ def test_divides_factorial_sampled_large():
         for n in (1, 5, 13, 26, 30):
             divides = cofactor == 1 and divides_factorial(smooth, n)
             assert divides == (factorials[n] % v == 0), (v, n)
-
-
-def test_factorial_cap():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(MAX_FACTORIAL_N) == math.factorial(MAX_FACTORIAL_N)
-    with pytest.raises(ValueError):
-        factorial(-1)
-    with pytest.raises(ValueError):
-        factorial(MAX_FACTORIAL_N + 1)
 
 
 def test_format_factorization():
