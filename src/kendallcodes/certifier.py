@@ -241,16 +241,20 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(line: str) -> Certificate:
-    """Rebuild a certificate from its record line."""
+    """Rebuild a certificate from its record line.
+
+    The line must hold exactly the RECORD_FIELDS, in order, each once.
+    """
     fields: dict[str, str] = {}
+    names = []
     for part in line.rstrip("\n").split("\t"):
         name, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"malformed record field {part!r}")
+        names.append(name)
         fields[name] = value
-    missing = [name for name in RECORD_FIELDS if name not in fields]
-    if missing:
-        raise ValueError(f"record is missing fields {missing}")
+    if tuple(names) != RECORD_FIELDS:
+        raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
     if fields["verdict"] not in VERDICTS:
         raise ValueError(f"unknown verdict {fields['verdict']!r}")
     exponents: Optional[tuple[int, int]] = None

@@ -12,21 +12,21 @@ which is some permutation already relabelled through the center, so the
 inversion count of each is its distance and no relabelling is done per
 permutation.  S_n is never materialised.
 
-The perfect-code search is an exact-cover backtracker over radius-t balls:
-a perfect code is exactly a set of centers whose balls partition S_n.
-The balls are built by translation.  Relabelling values preserves the
-Kendall distance, so the ball around ``c`` is ``compose(x, c)`` for x in
-the ball around the identity, which is measured once; that is O(n!·|B|)
-work instead of n!² distance calls.  Because the masks are derived rather
-than measured, a code the search finds is re-checked by direct distances
-before it is returned.  The search always expands the uncovered
-permutation with the fewest admissible centers first (fail-first), visits
-candidate centers in lexicographic order, and counts every visited state,
-so outcomes and node counts are reproducible run to run.  By default the
-identity is fixed as the first codeword: translating all codewords by a
-fixed permutation preserves pairwise distances, so any perfect code can
-be shifted to one containing the identity and the restriction loses no
-generality.  The flag exists so tests can confirm that empirically.
+The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
+radius-t balls, since a perfect code is a set of centers whose balls
+partition S_n.  Relabelling values preserves the Kendall distance, so the
+ball around ``c`` is ``compose(x, c)`` for x in the ball around the
+identity, measured once: O(n!·|B|) work instead of n!² distance calls.
+Because the balls are derived, a code the search finds is re-checked by
+direct distances before it is returned.  The search, iterative rather
+than recursive, expands the lowest uncovered permutation with the fewest
+admissible centers (fail-first, where none and one count alike), tries
+them in lexicographic order and counts every visited state, so outcomes
+and node counts are reproducible.  By default the identity is fixed as
+the first codeword: translating all codewords by a fixed permutation
+preserves pairwise distances, so any perfect code can be shifted to one
+containing the identity and the restriction loses no generality, as
+tests confirm through the flag.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import factorial
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .perms import (
     Permutation,
@@ -144,23 +144,19 @@ def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
     return True
 
 
-def _translated_masks(
+def _translated_balls(
     perms: list[Permutation], ball: list[Permutation]
-) -> list[int]:
-    """Bit masks over ``perms`` of the ball around each of them.
+) -> list[tuple[int, ...]]:
+    """The ball around each of ``perms``, as sorted distinct indices into it.
 
     ``ball`` is the ball around the identity; the ball around ``c`` is its
     translate ``compose(x, c)``, since relabelling values by ``c`` keeps
     every distance.
     """
     index = {pi: i for i, pi in enumerate(perms)}
-    masks = []
-    for center in perms:
-        mask = 0
-        for x in ball:
-            mask |= 1 << index[compose(x, center)]
-        masks.append(mask)
-    return masks
+    return [
+        tuple(sorted({index[compose(x, center)] for x in ball})) for center in perms
+    ]
 
 
 def search_perfect_code(
@@ -197,77 +193,61 @@ def search_perfect_code(
                 "balls cannot partition the group"
             ),
         )
-    masks = _translated_masks(perms, ball)
-    full = (1 << len(perms)) - 1
-    covered = 0
-    chosen: list[int] = []
+    balls = _translated_balls(perms, ball)
+    # Algorithm X over sets: each uncovered point keeps the centers that
+    # could still cover it, which by symmetry start as its own ball
+    admissible = {point: set(centers) for point, centers in enumerate(balls)}
+    # each selected center with the columns its selection removed
+    selected: list[tuple[int, list[tuple[int, set[int]]]]] = []
+
+    def select(center: int) -> None:
+        # cover the center's points and hide every center that meets them
+        removed = []
+        for point in balls[center]:
+            rivals = admissible.pop(point)
+            for rival in rivals:
+                for other in balls[rival]:
+                    if other in admissible:
+                        admissible[other].discard(rival)
+            removed.append((point, rivals))
+        selected.append((center, removed))
+
+    def deselect() -> None:
+        for point, rivals in reversed(selected.pop()[1]):
+            for rival in rivals:
+                for other in balls[rival]:
+                    if other in admissible:
+                        admissible[other].add(rival)
+            admissible[point] = rivals
+
     if fix_first_codeword:
-        chosen.append(0)
-        covered = masks[0]
-
-    def admissible_centers(point: int, state: int) -> list[int]:
-        # centers whose ball contains the point and misses everything covered
-        centers = []
-        remaining = masks[point]
-        while remaining:
-            low = remaining & -remaining
-            center = low.bit_length() - 1
-            remaining ^= low
-            if masks[center] & state == 0:
-                centers.append(center)
-        return centers
-
-    def tightest_candidates(state: int) -> list[int]:
-        # fail-first: the uncovered point with the fewest admissible centers
-        best: Optional[list[int]] = None
-        uncovered = full & ~state
-        while uncovered:
-            low = uncovered & -uncovered
-            point = low.bit_length() - 1
-            uncovered ^= low
-            centers = admissible_centers(point, state)
-            if best is None or len(centers) < len(best):
-                best = centers
-                if len(best) <= 1:
-                    break
-        assert best is not None
-        return best
-
-    nodes = 0
+        select(0)
     outcome = EXHAUSTED_NONE
-    found_centers: Optional[list[int]] = None
-    # Each frame: [candidates, next_index, covered_before_frame].  A frame
-    # pops its previously tried candidate from ``chosen`` before advancing.
-    frames: list[list] = []
-    while True:
-        nodes += 1
+    # the untried centers of each open choice, deepest last; a loop, not
+    # recursion, since (6, 0) opens 720 choices
+    choices: list[Iterator[int]] = []
+    for nodes in itertools.count(1):
         if nodes > node_budget:
             outcome = ABORTED_BUDGET
             break
-        if covered == full:
+        if not admissible:
             outcome = FOUND
-            found_centers = list(chosen)
             break
-        frames.append([tightest_candidates(covered), 0, covered])
-        advanced = False
-        while frames and not advanced:
-            top = frames[-1]
-            candidates, index, state = top
-            if index > 0:
-                chosen.pop()
-            if index < len(candidates):
-                top[1] = index + 1
-                chosen.append(candidates[index])
-                covered = state | masks[candidates[index]]
-                advanced = True
-            else:
-                frames.pop()
-        if not advanced:
+        # fail-first: the lowest point with the fewest admissible centers,
+        # where none and one count alike
+        fewest = max(min(map(len, admissible.values())), 1)
+        point = min(p for p, centers in admissible.items() if len(centers) <= fewest)
+        choices.append(iter(sorted(admissible[point])))
+        while choices and (center := next(choices[-1], None)) is None:
+            choices.pop()
+            if choices:
+                deselect()  # the center that opened the exhausted choice
+        if not choices:
             break
+        select(center)
     solution: Optional[tuple[Permutation, ...]] = None
     if outcome == FOUND:
-        assert found_centers is not None
-        solution = tuple(perms[c] for c in found_centers)
+        solution = tuple(perms[center] for center, _ in selected)
         # codewords 2t+1 apart have disjoint balls, and n!/|B| of them cover S_n
         if len(solution) * len(ball) != order or not verify_min_distance(
             solution, 2 * t + 1

@@ -448,6 +448,20 @@ def test_parse_certificate_rejects_malformed_lines():
     v1 = good.replace("witness=", "witness_prime=") + "\tquotient=\tdegraded=false"
     with pytest.raises(ValueError):
         parse_certificate(v1)
+    # only the record fields, in order, each once: a leading n=14 used to be
+    # overwritten by the record's own n=13, and the line checked as valid
+    for line in (
+        "n=14\t" + good,
+        good + "\twitness_exponents=2,1",
+        good + "\tnote=",
+        good.replace("\tverdict=", "\tnote=x\tverdict="),
+        good.replace("n=13\tt=3", "t=3\tn=13"),
+        good.replace(
+            "witness=7\twitness_exponents=2,1", "witness_exponents=2,1\twitness=7"
+        ),
+    ):
+        with pytest.raises(ValueError, match="record fields"):
+            parse_certificate(line)
 
 
 # --- annotation and pretty output --------------------------------------------

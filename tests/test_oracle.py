@@ -158,21 +158,21 @@ def test_search_exhausts_without_a_code():
         assert certify(n, 1).verdict == INCONCLUSIVE
 
 
-def test_translated_masks_equal_pairwise_masks():
+def test_translated_balls_equal_pairwise_balls():
     for n in range(2, 6):
         perms = list(enumerate_sn(n))
         distances = [[kendall_distance(pi, other) for other in perms] for pi in perms]
         for t in range(max_distance(n) + 1):
             pairwise = [
-                sum(1 << b for b, d in enumerate(row) if d <= t) for row in distances
+                tuple(i for i, d in enumerate(row) if d <= t) for row in distances
             ]
             ball = [pi for pi in perms if kendall_distance(perms[0], pi) <= t]
-            assert oracle._translated_masks(perms, ball) == pairwise, (n, t)
+            assert oracle._translated_balls(perms, ball) == pairwise, (n, t)
 
 
 def test_found_codes_are_rechecked_by_distances(monkeypatch):
     # a broken translation that shrinks every ball to its center makes the
-    # masks accept all of S_4 as a "code"; the distance re-check refuses it
+    # cover accept all of S_4 as a "code"; the distance re-check refuses it
     monkeypatch.setattr(oracle, "compose", lambda x, center: center)
     with pytest.raises(AssertionError, match="not perfect"):
         search_perfect_code(4, 1)
@@ -223,3 +223,51 @@ def test_search_rejects_bad_arguments():
         search_perfect_code(4, -1)
     with pytest.raises(ValueError):
         search_perfect_code(4, 1, node_budget=0)
+
+
+# (n, t): outcome, nodes with the identity fixed first, nodes without, code
+# size.  Every other radius up to the diameter fails the divisibility check.
+SEARCH_GOLDEN = {
+    (2, 0): (FOUND, 2, 3, 2),
+    (2, 1): (FOUND, 1, 2, 1),
+    (3, 0): (FOUND, 6, 7, 6),
+    (3, 1): (FOUND, 2, 3, 2),
+    (3, 3): (FOUND, 1, 2, 1),
+    (4, 0): (FOUND, 24, 25, 24),
+    (4, 1): (EXHAUSTED_NONE, 4, 17, None),
+    (4, 6): (FOUND, 1, 2, 1),
+    (5, 0): (FOUND, 120, 121, 120),
+    (5, 1): (EXHAUSTED_NONE, 14, 65, None),
+    (5, 10): (FOUND, 1, 2, 1),
+    (6, 0): (FOUND, 720, 721, 720),
+    (6, 1): (EXHAUSTED_NONE, 160, 1039, None),
+    (6, 2): (EXHAUSTED_NONE, 22, 508, None),
+}
+
+
+def test_search_order_is_pinned():
+    # fail-first with its tie-break fixes every node count and code size
+    for n in range(2, 7):
+        for t in range(3 if n == 6 else max_distance(n) + 1):
+            golden = SEARCH_GOLDEN.get((n, t), (EXHAUSTED_NONE, 0, 0, None))
+            outcome, fixed, free, size = golden
+            codes = set()
+            for fix, nodes in ((True, fixed), (False, free)):
+                result = search_perfect_code(n, t, fix_first_codeword=fix)
+                found = None if result.code is None else len(result.code)
+                assert result.outcome == outcome, (n, t, fix)
+                assert result.nodes_explored == nodes, (n, t, fix)
+                assert found == size, (n, t, fix)
+                assert ("does not divide" in result.note) == (nodes == 0), (n, t)
+                codes.add(result.code)
+            # lexicographic order tries the identity first even when it is free
+            assert len(codes) == 1, (n, t)
+
+
+def test_search_settles_radius_1_in_s7_past_the_cap(monkeypatch):
+    # the cap bounds building balls at large radii, not the search itself
+    monkeypatch.setattr(oracle, "MAX_SEARCH_N", 7)
+    result = search_perfect_code(7, 1)
+    assert result.outcome == EXHAUSTED_NONE
+    assert result.nodes_explored == 1807
+    assert result.code is None
