@@ -150,9 +150,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    table = mahonian.build_table(args.max_n)
-    for line in mahonian.table_tsv_lines(table, max_r=args.max_r):
-        print(line)
+    # checked here, so a refused table writes nothing; one write per line
+    # keeps the output streaming (one full row is over 16 MB at n = 256)
+    lines = mahonian.table_tsv_lines(args.max_n, args.max_r)
+    write = sys.stdout.write
+    for line in lines:
+        write(line + "\n")
     return EXIT_OK
 
 

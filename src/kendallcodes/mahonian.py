@@ -22,11 +22,15 @@ degree-bounded closed forms for radii up to 5 re-derive the same numbers
 by other routes; they are kept as results of the paper and as test
 oracles for the table and for ``ball_count``.
 
-Rows are stored in full rather than exploiting the symmetry
-S(n, i) = S(n, n(n-1)/2 - i).  Its cost grows roughly as n^4, and
-MAX_TABLE_N bounds it: ``build_table(256)`` takes about 2.5 s and 500 MB.
-The table serves the TSV export and the brute-force cross-checks;
-``ball_count`` itself has no limit.
+:func:`rows` runs the recurrence one row at a time, holding only the
+previous row, and cuts each row at a radius limit when it is given: entry
+i needs no column of the previous row beyond i.  The reversal symmetry
+S(n, i) = S(n, n(n-1)/2 - i) halves the work twice: ``rows`` computes
+entries up to the midpoint and mirrors the rest, and the TSV export,
+which streams from ``rows`` and never holds more than one row, converts
+only those to text.  :func:`build_table` keeps every full row, for the
+brute-force cross-checks.  The cost of a full table grows roughly as n^4,
+and MAX_TABLE_N bounds it; ``ball_count`` itself has no limit.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 from typing import Iterator, Optional
 
 MAX_TABLE_N = 256
@@ -66,22 +71,37 @@ def max_distance(n: int) -> int:
     return math.comb(n, 2)
 
 
-def build_table(max_n: int) -> SphereTable:
-    """Build all rows for group sizes 2..max_n by the one-step recurrence."""
+def rows(max_n: int, max_r: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Rows S(n, 0..min(max_r, D)) for n = 2..max_n by the one-step recurrence.
+
+    Only the previous row is held.  The arguments are checked at the call,
+    before the first row is asked for.
+    """
     if not 2 <= max_n <= MAX_TABLE_N:
         raise ValueError(f"table size must be between 2 and {MAX_TABLE_N}, got {max_n}")
-    rows = [(1, 1)]
-    for n in range(3, max_n + 1):
-        prev = rows[-1]
-        prefix = list(accumulate(prev))
-        top = len(prev) - 1
-        row = []
-        for i in range(max_distance(n) + 1):
-            hi = prefix[min(i, top)]
-            lo = prefix[i - n] if i - n >= 0 else 0
-            row.append(hi - lo)
-        rows.append(tuple(row))
-    return SphereTable(max_n=max_n, rows=tuple(rows))
+    if max_r is not None and max_r < 0:
+        raise ValueError(f"radius limit must be nonnegative, got {max_r}")
+
+    def generate() -> Iterator[tuple[int, ...]]:
+        row: tuple[int, ...] = (1,)  # n = 1
+        for n in range(2, max_n + 1):
+            diameter = max_distance(n)
+            top = diameter if max_r is None else min(max_r, diameter)
+            # only entries up to the midpoint are computed, the rest mirror
+            # them; those i never pass the previous row's last column, so
+            # with n zeros in front S(n, i) = padded[i + n] - padded[i]
+            width = min(top, diameter // 2) + 1
+            padded = [0] * n + list(accumulate(row))
+            half = list(map(sub, padded[n : n + width], padded[:width]))
+            row = tuple(half + half[diameter - top : diameter - diameter // 2][::-1])
+            yield row
+
+    return generate()
+
+
+def build_table(max_n: int) -> SphereTable:
+    """Build all rows for group sizes 2..max_n by the one-step recurrence."""
+    return SphereTable(max_n=max_n, rows=tuple(rows(max_n)))
 
 
 def sphere_size(table: SphereTable, n: int, i: int) -> int:
@@ -265,15 +285,21 @@ def ball_closed_form(n: int, r: int) -> int:
 TSV_HEADER = "n\ti\tsphere\tball"
 
 
-def table_tsv_lines(table: SphereTable, max_r: Optional[int] = None) -> Iterator[str]:
-    """Stream the table as tab-separated ``n i sphere ball`` lines with header."""
-    if max_r is not None and max_r < 0:
-        raise ValueError(f"radius limit must be nonnegative, got {max_r}")
-    yield TSV_HEADER
-    for n in range(2, table.max_n + 1):
-        running = 0
-        for i, count in enumerate(table.row(n)):
-            if max_r is not None and i > max_r:
-                break
-            running += count
-            yield f"{n}\t{i}\t{count}\t{running}"
+def table_tsv_lines(max_n: int, max_r: Optional[int] = None) -> Iterator[str]:
+    """Stream tab-separated ``n i sphere ball`` lines with header, row by row.
+
+    The arguments are checked at the call, before the header.  By the
+    reversal symmetry, entry i of row n is formatted from the digits of
+    entry min(i, D - i), so each sphere size is converted to text once.
+    """
+    sphere_rows = rows(max_n, max_r)
+
+    def generate() -> Iterator[str]:
+        yield TSV_HEADER
+        for n, row in enumerate(sphere_rows, start=2):
+            diameter = max_distance(n)
+            digits = [str(count) for count in row[: diameter // 2 + 1]]
+            for i, ball in enumerate(accumulate(row)):
+                yield f"{n}\t{i}\t{digits[min(i, diameter - i)]}\t{ball}"
+
+    return generate()

@@ -17,8 +17,10 @@ radius-t balls, since a perfect code is a set of centers whose balls
 partition S_n.  Relabelling values preserves the Kendall distance, so the
 ball around ``c`` is ``compose(x, c)`` for x in the ball around the
 identity, measured once: O(n!·|B|) work instead of n!² distance calls.
-Because the balls are derived, a code the search finds is re-checked by
-direct distances before it is returned.  The search, iterative rather
+When one ball is all of S_n (t at or past the diameter) no ball is
+built: the identity alone is the code.  Because the balls are derived, a
+code the search finds is re-checked by direct distances before it is
+returned.  The search, iterative rather
 than recursive, expands the lowest uncovered permutation with the fewest
 admissible centers (fail-first, where none and one count alike), tries
 them in lexicographic order and counts every visited state, so outcomes
@@ -159,6 +161,64 @@ def _translated_balls(
     ]
 
 
+def _exact_cover(
+    balls: list[tuple[int, ...]], node_budget: int, fix_first: bool
+) -> tuple[str, list[int], int]:
+    """Partition the points by ``balls``: (outcome, chosen centers, nodes visited)."""
+    # Algorithm X over sets: each uncovered point keeps the centers that
+    # could still cover it, which by symmetry start as its own ball
+    admissible = {point: set(centers) for point, centers in enumerate(balls)}
+    # each selected center with the columns its selection removed
+    selected: list[tuple[int, list[tuple[int, set[int]]]]] = []
+
+    def select(center: int) -> None:
+        # cover the center's points and hide every center that meets them
+        removed = []
+        for point in balls[center]:
+            rivals = admissible.pop(point)
+            for rival in rivals:
+                for other in balls[rival]:
+                    if other in admissible:
+                        admissible[other].discard(rival)
+            removed.append((point, rivals))
+        selected.append((center, removed))
+
+    def deselect() -> None:
+        for point, rivals in reversed(selected.pop()[1]):
+            for rival in rivals:
+                for other in balls[rival]:
+                    if other in admissible:
+                        admissible[other].add(rival)
+            admissible[point] = rivals
+
+    if fix_first:
+        select(0)
+    outcome = EXHAUSTED_NONE
+    # the untried centers of each open choice, deepest last; a loop, not
+    # recursion, since (6, 0) opens 720 choices
+    choices: list[Iterator[int]] = []
+    for nodes in itertools.count(1):
+        if nodes > node_budget:
+            outcome = ABORTED_BUDGET
+            break
+        if not admissible:
+            outcome = FOUND
+            break
+        # fail-first: the lowest point with the fewest admissible centers,
+        # where none and one count alike
+        fewest = max(min(map(len, admissible.values())), 1)
+        point = min(p for p, centers in admissible.items() if len(centers) <= fewest)
+        choices.append(iter(sorted(admissible[point])))
+        while choices and (center := next(choices[-1], None)) is None:
+            choices.pop()
+            if choices:
+                deselect()  # the center that opened the exhausted choice
+        if not choices:
+            break
+        select(center)
+    return outcome, [center for center, _ in selected], nodes
+
+
 def search_perfect_code(
     n: int,
     t: int,
@@ -193,61 +253,20 @@ def search_perfect_code(
                 "balls cannot partition the group"
             ),
         )
-    balls = _translated_balls(perms, ball)
-    # Algorithm X over sets: each uncovered point keeps the centers that
-    # could still cover it, which by symmetry start as its own ball
-    admissible = {point: set(centers) for point, centers in enumerate(balls)}
-    # each selected center with the columns its selection removed
-    selected: list[tuple[int, list[tuple[int, set[int]]]]] = []
-
-    def select(center: int) -> None:
-        # cover the center's points and hide every center that meets them
-        removed = []
-        for point in balls[center]:
-            rivals = admissible.pop(point)
-            for rival in rivals:
-                for other in balls[rival]:
-                    if other in admissible:
-                        admissible[other].discard(rival)
-            removed.append((point, rivals))
-        selected.append((center, removed))
-
-    def deselect() -> None:
-        for point, rivals in reversed(selected.pop()[1]):
-            for rival in rivals:
-                for other in balls[rival]:
-                    if other in admissible:
-                        admissible[other].add(rival)
-            admissible[point] = rivals
-
-    if fix_first_codeword:
-        select(0)
-    outcome = EXHAUSTED_NONE
-    # the untried centers of each open choice, deepest last; a loop, not
-    # recursion, since (6, 0) opens 720 choices
-    choices: list[Iterator[int]] = []
-    for nodes in itertools.count(1):
-        if nodes > node_budget:
-            outcome = ABORTED_BUDGET
-            break
-        if not admissible:
-            outcome = FOUND
-            break
-        # fail-first: the lowest point with the fewest admissible centers,
-        # where none and one count alike
-        fewest = max(min(map(len, admissible.values())), 1)
-        point = min(p for p, centers in admissible.items() if len(centers) <= fewest)
-        choices.append(iter(sorted(admissible[point])))
-        while choices and (center := next(choices[-1], None)) is None:
-            choices.pop()
-            if choices:
-                deselect()  # the center that opened the exhausted choice
-        if not choices:
-            break
-        select(center)
+    if len(ball) == order:
+        # one ball is all of S_n, so the identity alone is a perfect code:
+        # the search's first node (its second, when the identity is free)
+        # would find it after building n! identical translates
+        nodes = 1 if fix_first_codeword else 2
+        outcome = FOUND if nodes <= node_budget else ABORTED_BUDGET
+        centers = [0]
+    else:
+        outcome, centers, nodes = _exact_cover(
+            _translated_balls(perms, ball), node_budget, fix_first_codeword
+        )
     solution: Optional[tuple[Permutation, ...]] = None
     if outcome == FOUND:
-        solution = tuple(perms[center] for center, _ in selected)
+        solution = tuple(perms[center] for center in centers)
         # codewords 2t+1 apart have disjoint balls, and n!/|B| of them cover S_n
         if len(solution) * len(ball) != order or not verify_min_distance(
             solution, 2 * t + 1

@@ -6,10 +6,11 @@ must parse back into the exact certificates the library produces.
 
 import dataclasses
 import sys
+import zlib
 
 import pytest
 
-from kendallcodes import certifier, oracle
+from kendallcodes import certifier, mahonian, oracle
 from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
@@ -219,6 +220,68 @@ def test_table_respects_cap(capsys):
     code, out, err = run_cli(capsys, "table", "--max-n", "257")
     assert (code, out) == (EXIT_VALIDATION, "")
     assert err.startswith("error:") and str(MAX_TABLE_N) in err
+
+
+class LineSink:
+    """Stdout stand-in that keeps only a length and a CRC-32 of what is
+    written, and every write that is not exactly one whole line."""
+
+    def __init__(self) -> None:
+        self.length = 0
+        self.crc = 0
+        self.odd_writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        if not text.endswith("\n") or "\n" in text[:-1]:
+            self.odd_writes.append(text)
+        self.length += len(text)
+        self.crc = zlib.crc32(text.encode(), self.crc)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def run_table(*argv):
+    sink = LineSink()
+    saved, sys.stdout = sys.stdout, sink
+    try:
+        code = main(["table", *argv])
+    finally:
+        sys.stdout = saved
+    return code, sink
+
+
+@pytest.mark.parametrize(
+    "argv, length, crc",
+    [
+        # n <= 60 meets every residue of n mod 4, so diameters of both parities
+        (("--max-n", "60"), 3_861_313, 1617663676),
+        (("--max-n", "60", "--max-r", "7"), 7_055, 3104440629),
+        (("--max-n", str(MAX_TABLE_N), "--max-r", "5"), 26_367, 2923335161),
+    ],
+)
+def test_table_bytes_are_pinned(argv, length, crc):
+    code, sink = run_table(*argv)
+    assert code == EXIT_OK
+    assert (sink.length, sink.crc) == (length, crc)
+
+
+def test_table_streams_one_line_per_write(monkeypatch):
+    def no_table(max_n):
+        raise AssertionError("the export builds no table")
+
+    monkeypatch.setattr(mahonian, "build_table", no_table)
+    code, sink = run_table("--max-n", "30")
+    assert code == EXIT_OK
+    assert sink.length > 0 and sink.odd_writes == []
+
+
+def test_table_refusals_write_nothing(capsys):
+    for argv in (("--max-n", "1"), ("--max-n", "257"), ("--max-n", "5", "--max-r", "-1")):
+        code, sink = run_table(*argv)
+        assert (code, sink.length) == (EXIT_VALIDATION, 0), argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_verify_passes_small_groups(capsys):

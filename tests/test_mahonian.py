@@ -16,6 +16,7 @@ from kendallcodes.mahonian import (
     ball_size,
     build_table,
     max_distance,
+    rows,
     sphere_closed_form,
     sphere_size,
     sphere_size_large_radius,
@@ -233,7 +234,7 @@ def test_ball_closed_forms_match_table(table60):
 
 
 def test_tsv_export_golden():
-    lines = list(table_tsv_lines(build_table(3)))
+    lines = list(table_tsv_lines(3))
     assert lines == [
         "n\ti\tsphere\tball",
         "2\t0\t1\t1",
@@ -246,7 +247,7 @@ def test_tsv_export_golden():
 
 
 def test_tsv_export_radius_limit():
-    lines = list(table_tsv_lines(build_table(4), max_r=1))
+    lines = list(table_tsv_lines(4, max_r=1))
     assert lines == [
         "n\ti\tsphere\tball",
         "2\t0\t1\t1",
@@ -256,5 +257,23 @@ def test_tsv_export_radius_limit():
         "4\t0\t1\t1",
         "4\t1\t3\t4",
     ]
+    # refused at the call, before the header is asked for
     with pytest.raises(ValueError):
-        list(table_tsv_lines(build_table(3), max_r=-1))
+        table_tsv_lines(3, max_r=-1)
+    with pytest.raises(ValueError):
+        table_tsv_lines(1)
+
+
+def test_rows_cut_at_the_radius_limit(table60):
+    # entry i needs no column of the previous row beyond i, so a cut row
+    # is the prefix of the full one; the cut crosses the midpoint of some
+    # rows and the diameter of others
+    for max_r in (0, 1, 2, 3, 7, 100, 1000, 2000):
+        for n, row in enumerate(rows(60, max_r), start=2):
+            assert row == table60.row(n)[: max_r + 1], (max_r, n)
+
+
+def test_rows_check_arguments_at_the_call():
+    for max_n, max_r in ((1, None), (mahonian.MAX_TABLE_N + 1, None), (5, -1)):
+        with pytest.raises(ValueError):
+            rows(max_n, max_r)

@@ -130,6 +130,25 @@ def test_search_whole_group_ball():
     assert result.nodes_explored == 1
 
 
+def test_search_whole_group_ball_builds_no_translates():
+    # at t >= D one ball is S_n; building its n! translates took seconds
+    for fix, nodes in ((True, 1), (False, 2)):
+        start = time.perf_counter()
+        result = search_perfect_code(6, 15, fix_first_codeword=fix)
+        elapsed = time.perf_counter() - start
+        assert result.outcome == FOUND
+        assert result.code == (identity(6),)
+        assert result.nodes_explored == nodes
+        assert result.note == ""
+        assert elapsed < 0.5, elapsed
+
+
+def test_search_whole_group_code_is_rechecked(monkeypatch):
+    monkeypatch.setattr(oracle, "verify_min_distance", lambda code, d: False)
+    with pytest.raises(AssertionError, match="not perfect"):
+        search_perfect_code(3, 3)
+
+
 def test_search_radius_zero_takes_everything():
     for n in (3, 4):
         result = search_perfect_code(n, 0)
