@@ -73,7 +73,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "Certificate",

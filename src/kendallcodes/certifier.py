@@ -243,11 +243,14 @@ def format_certificate(cert: Certificate) -> str:
 def parse_certificate(line: str) -> Certificate:
     """Rebuild a certificate from its record line.
 
-    The line must hold exactly the RECORD_FIELDS, in order, each once.
+    The line must hold exactly the RECORD_FIELDS, in order, each once, and
+    be the canonical record :func:`format_certificate` prints for what it
+    holds, so each certificate has one byte form.
     """
+    line = line.rstrip("\n")
     fields: dict[str, str] = {}
     names = []
-    for part in line.rstrip("\n").split("\t"):
+    for part in line.split("\t"):
         name, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"malformed record field {part!r}")
@@ -263,7 +266,7 @@ def parse_certificate(line: str) -> Certificate:
         if not sep:
             raise ValueError(f"malformed exponent pair {fields['witness_exponents']!r}")
         exponents = (int(first), int(second))
-    return Certificate(
+    cert = Certificate(
         n=int(fields["n"]),
         t=int(fields["t"]),
         ball=int(fields["ball"]),
@@ -272,6 +275,11 @@ def parse_certificate(line: str) -> Certificate:
         witness=int(fields["witness"]) if fields["witness"] else None,
         witness_exponents=exponents,
     )
+    # int() also reads "013", "+13", "1_3" and other digits; with the names
+    # in order, equal values mean format_certificate prints the line back
+    if certificate_values(cert) != fields:
+        raise ValueError(f"record {line!r} is not in canonical form")
+    return cert
 
 
 # Polynomial factors of the closed-form ball sizes, used to annotate where

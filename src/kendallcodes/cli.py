@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force cross-checks for one n")
     p.add_argument("--n", type=int, required=True, help="group size (at most 10)")
-    p.add_argument(
-        "--search-budget",
-        type=int,
-        default=oracle.DEFAULT_SEARCH_BUDGET,
-        help="node budget for the exhaustive single-error code search",
-    )
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -165,8 +159,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"verify enumerates all of S_n and supports 2 <= n <= {oracle.MAX_HISTOGRAM_N}, got {n}"
         )
-    if args.search_budget < 1:
-        raise ValueError(f"search budget must be positive, got {args.search_budget}")
     failures = 0
 
     def report(name: str, ok: bool) -> None:
@@ -192,16 +184,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         report("ball censuses around two centers match row prefix sums", ok)
     if n <= oracle.MAX_SEARCH_N - 1:
-        result = oracle.search_perfect_code(n, 1, node_budget=args.search_budget)
-        cert = certifier.certify(n, 1)
-        if result.outcome == oracle.ABORTED_BUDGET:
-            print(f"SKIP perfect single-error code search hit the node budget at n={n}")
-        else:
-            consistent = not (
-                result.outcome == oracle.FOUND
-                and cert.verdict != certifier.INCONCLUSIVE
-            )
-            report("exhaustive single-error code search agrees with the certificate", consistent)
+        found = oracle.search_perfect_code(n, 1).outcome == oracle.FOUND
+        consistent = not (found and certifier.certify(n, 1).verdict != certifier.INCONCLUSIVE)
+        report("exhaustive single-error code search agrees with the certificate", consistent)
     print(("OK" if failures == 0 else "FAILED") + f" verify n={n}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 

@@ -20,15 +20,17 @@ identity, measured once: O(n!·|B|) work instead of n!² distance calls.
 When one ball is all of S_n (t at or past the diameter) no ball is
 built: the identity alone is the code.  Because the balls are derived, a
 code the search finds is re-checked by direct distances before it is
-returned.  The search, iterative rather
-than recursive, expands the lowest uncovered permutation with the fewest
-admissible centers (fail-first, where none and one count alike), tries
-them in lexicographic order and counts every visited state, so outcomes
-and node counts are reproducible.  By default the identity is fixed as
-the first codeword: translating all codewords by a fixed permutation
-preserves pairwise distances, so any perfect code can be shifted to one
-containing the identity and the restriction loses no generality, as
-tests confirm through the flag.
+returned.  The search, iterative rather than recursive, expands the
+lowest uncovered permutation with the fewest admissible centers
+(fail-first, where none and one count alike), tries them in
+lexicographic order and counts every visited state, so outcomes and node
+counts are reproducible.  It runs until it finds a cover or exhausts the
+choices: no served (n, t) visits more than 1 039 states, and the one
+bound, n <= 6, limits the n!·|B| work of building the balls.  By default
+the identity is fixed as the first codeword: translating all codewords
+by a fixed permutation preserves pairwise distances, so any perfect code
+can be shifted to one containing the identity and the restriction loses
+no generality, as tests confirm through the flag.
 """
 
 from __future__ import annotations
@@ -52,11 +54,8 @@ MAX_HISTOGRAM_N = 10
 MAX_CENSUS_N = 8
 MAX_SEARCH_N = 6
 
-DEFAULT_SEARCH_BUDGET = 1_000_000
-
 FOUND = "FOUND"
 EXHAUSTED_NONE = "EXHAUSTED_NONE"
-ABORTED_BUDGET = "ABORTED_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -161,9 +160,7 @@ def _translated_balls(
     ]
 
 
-def _exact_cover(
-    balls: list[tuple[int, ...]], node_budget: int, fix_first: bool
-) -> tuple[str, list[int], int]:
+def _exact_cover(balls: list[tuple[int, ...]], fix_first: bool) -> tuple[str, list[int], int]:
     """Partition the points by ``balls``: (outcome, chosen centers, nodes visited)."""
     # Algorithm X over sets: each uncovered point keeps the centers that
     # could still cover it, which by symmetry start as its own ball
@@ -193,17 +190,12 @@ def _exact_cover(
 
     if fix_first:
         select(0)
-    outcome = EXHAUSTED_NONE
     # the untried centers of each open choice, deepest last; a loop, not
     # recursion, since (6, 0) opens 720 choices
     choices: list[Iterator[int]] = []
     for nodes in itertools.count(1):
-        if nodes > node_budget:
-            outcome = ABORTED_BUDGET
-            break
         if not admissible:
-            outcome = FOUND
-            break
+            return FOUND, [center for center, _ in selected], nodes
         # fail-first: the lowest point with the fewest admissible centers,
         # where none and one count alike
         fewest = max(min(map(len, admissible.values())), 1)
@@ -214,30 +206,22 @@ def _exact_cover(
             if choices:
                 deselect()  # the center that opened the exhausted choice
         if not choices:
-            break
+            return EXHAUSTED_NONE, [], nodes
         select(center)
-    return outcome, [center for center, _ in selected], nodes
 
 
 def search_perfect_code(
-    n: int,
-    t: int,
-    *,
-    node_budget: int = DEFAULT_SEARCH_BUDGET,
-    fix_first_codeword: bool = True,
+    n: int, t: int, *, fix_first_codeword: bool = True
 ) -> CodeSearchResult:
     """Exhaustively decide whether a perfect t-code exists in S_n.
 
-    Returns FOUND with a witness code, EXHAUSTED_NONE when the whole
-    (symmetry-reduced) space was searched without success, or
-    ABORTED_BUDGET when ``node_budget`` states were visited first.
+    Returns FOUND with a witness code, or EXHAUSTED_NONE when the whole
+    (symmetry-reduced) space was searched without success.
     """
     if not 2 <= n <= MAX_SEARCH_N:
         raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    if node_budget < 1:
-        raise ValueError(f"node budget must be positive, got {node_budget}")
     perms = list(enumerate_sn(n))
     ball = [pi for pi in perms if kendall_distance(perms[0], pi) <= t]
     order = factorial(n)
@@ -257,12 +241,10 @@ def search_perfect_code(
         # one ball is all of S_n, so the identity alone is a perfect code:
         # the search's first node (its second, when the identity is free)
         # would find it after building n! identical translates
-        nodes = 1 if fix_first_codeword else 2
-        outcome = FOUND if nodes <= node_budget else ABORTED_BUDGET
-        centers = [0]
+        outcome, centers, nodes = FOUND, [0], 1 if fix_first_codeword else 2
     else:
         outcome, centers, nodes = _exact_cover(
-            _translated_balls(perms, ball), node_budget, fix_first_codeword
+            _translated_balls(perms, ball), fix_first_codeword
         )
     solution: Optional[tuple[Permutation, ...]] = None
     if outcome == FOUND:

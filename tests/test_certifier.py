@@ -464,6 +464,28 @@ def test_parse_certificate_rejects_malformed_lines():
             parse_certificate(line)
 
 
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ("n=13", "n=1_3"),
+        ("n=13", "n= 13"),
+        ("n=13", "n=+13"),
+        ("n=13", "n=013"),
+        ("n=13", "n=\u0661\u0663"),  # Arabic-Indic digits
+        ("ball=441", "ball=4_41"),
+        ("witness=7", "witness=0_7"),
+        ("3^2 * 7^2", "3^2*7^2"),
+    ],
+)
+def test_parse_certificate_accepts_only_the_canonical_record(good, bad):
+    # int() reads every one of these as the genuine value, which made one
+    # record parse, and then check, from many byte forms
+    line = format_certificate(certify(13, 3))
+    assert line.count(good) == 1
+    with pytest.raises(ValueError, match="canonical"):
+        parse_certificate(line.replace(good, bad))
+
+
 # --- annotation and pretty output --------------------------------------------
 
 

@@ -304,21 +304,6 @@ def test_verify_passes_small_groups(capsys):
     assert sum(line.startswith("PASS") for line in lines) == 3  # census stops at n=8
 
 
-def test_verify_skips_search_on_tiny_budget(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--search-budget", "1")
-    assert code == EXIT_OK
-    assert any(line.startswith("SKIP") for line in out.splitlines())
-    assert "OK verify n=5" in out
-
-
-def test_verify_refuses_a_nonpositive_budget_before_any_output(capsys):
-    for n in ("4", "9"):
-        code, out, err = run_cli(capsys, "verify", "--n", n, "--search-budget", "0")
-        assert code == EXIT_VALIDATION
-        assert out == ""
-        assert err.startswith("error:") and "budget" in err
-
-
 def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     real = oracle.inversion_histogram
 
@@ -366,6 +351,7 @@ def test_options_belong_to_the_subcommands_that_read_them(capsys):
         ["scan", "--t", "2", "--from", "4", "--to", "6", "--search-budget", "9"],
         ["verify", "--n", "4", "--format", "records"],
         ["verify", "--n", "4", "--jobs", "2"],
+        ["verify", "--n", "4", "--search-budget", "9"],
     ]
     for argv in ignored:
         with pytest.raises(SystemExit) as info:
@@ -375,7 +361,7 @@ def test_options_belong_to_the_subcommands_that_read_them(capsys):
     read = [
         ["certify", "--n", "5", "--t", "2", "--format", "tsv"],
         ["scan", "--t", "3", "--from", "4", "--to", "6", "--format", "pretty", "--jobs", "2"],
-        ["verify", "--n", "4", "--search-budget", "9"],
+        ["verify", "--n", "4"],
     ]
     for argv in read:
         assert main(argv) == EXIT_OK, argv

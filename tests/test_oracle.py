@@ -13,7 +13,6 @@ from kendallcodes import oracle
 from kendallcodes.certifier import INCONCLUSIVE, certify
 from kendallcodes.mahonian import ball_size, max_distance
 from kendallcodes.oracle import (
-    ABORTED_BUDGET,
     EXHAUSTED_NONE,
     FOUND,
     ball_census,
@@ -217,13 +216,6 @@ def test_search_divisibility_precheck():
     assert "does not divide" in result.note
 
 
-def test_search_budget_abort():
-    result = search_perfect_code(5, 1, node_budget=3)
-    assert result.outcome == ABORTED_BUDGET
-    assert result.nodes_explored == 4
-    assert result.code is None
-
-
 def test_search_found_codes_partition_the_group():
     for n, t in ((2, 1), (3, 1), (3, 0), (4, 0)):
         result = search_perfect_code(n, t)
@@ -240,12 +232,12 @@ def test_search_rejects_bad_arguments():
         search_perfect_code(7, 1)
     with pytest.raises(ValueError):
         search_perfect_code(4, -1)
-    with pytest.raises(ValueError):
-        search_perfect_code(4, 1, node_budget=0)
 
 
 # (n, t): outcome, nodes with the identity fixed first, nodes without, code
-# size.  Every other radius up to the diameter fails the divisibility check.
+# size.  Every other radius up to the diameter fails the divisibility check,
+# so this is every (n, t) the search serves.  None visits more than 1 039
+# nodes, which is why the search has no node budget.
 SEARCH_GOLDEN = {
     (2, 0): (FOUND, 2, 3, 2),
     (2, 1): (FOUND, 1, 2, 1),
@@ -261,13 +253,16 @@ SEARCH_GOLDEN = {
     (6, 0): (FOUND, 720, 721, 720),
     (6, 1): (EXHAUSTED_NONE, 160, 1039, None),
     (6, 2): (EXHAUSTED_NONE, 22, 508, None),
+    (6, 7): (FOUND, 2, 3, 2),
+    (6, 15): (FOUND, 1, 2, 1),
 }
 
 
 def test_search_order_is_pinned():
     # fail-first with its tie-break fixes every node count and code size
+    assert max(max(fixed, free) for _, fixed, free, _ in SEARCH_GOLDEN.values()) == 1039
     for n in range(2, 7):
-        for t in range(3 if n == 6 else max_distance(n) + 1):
+        for t in range(max_distance(n) + 1):
             golden = SEARCH_GOLDEN.get((n, t), (EXHAUSTED_NONE, 0, 0, None))
             outcome, fixed, free, size = golden
             codes = set()
@@ -281,6 +276,10 @@ def test_search_order_is_pinned():
                 codes.add(result.code)
             # lexicographic order tries the identity first even when it is free
             assert len(codes) == 1, (n, t)
+            if (n, t) == (6, 7):
+                # the antipodal code: d(pi, e) + d(pi, reverse(e)) = 15 for
+                # every pi, so the radius-7 balls of e and its reversal split S_6
+                assert codes == {(identity(6), reverse(identity(6)))}
 
 
 def test_search_settles_radius_1_in_s7_past_the_cap(monkeypatch):
