@@ -54,7 +54,6 @@ from .numtheory import (
 )
 from .oracle import (
     CodeSearchResult,
-    InversionHistogram,
     ball_census,
     inversion_histogram,
     search_perfect_code,
@@ -73,7 +72,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "Certificate",
@@ -106,7 +105,6 @@ __all__ = [
     "format_factorization",
     "is_probable_prime",
     "CodeSearchResult",
-    "InversionHistogram",
     "ball_census",
     "inversion_histogram",
     "search_perfect_code",

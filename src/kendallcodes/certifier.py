@@ -33,9 +33,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from itertools import chain
+from typing import ClassVar, Optional
 
-from .mahonian import ball_count, max_distance
+from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distance
 
 # Not used here: the benchmark's per-layer tracer wraps these names at this site.
 from math import factorial  # noqa: F401
@@ -179,9 +180,15 @@ def check_certificate(cert: Certificate) -> bool:
     from that split.  n! is never built.
 
     A record outside the range :func:`ball_value` serves is rejected
-    unrecomputed: :func:`certify` never makes one.
+    unrecomputed: :func:`certify` never makes one, nor one holding a float
+    or bool, which equals the int it stands for but prints otherwise.
     """
     n, smooth = cert.n, cert.factorization
+    numbers = [n, cert.t, cert.ball, *chain.from_iterable(smooth), *(cert.witness_exponents or ())]
+    if cert.witness is not None:
+        numbers.append(cert.witness)
+    if set(map(type, numbers)) != {int}:
+        return False
     try:
         ball = ball_value(n, cert.t)
     except ValueError:
@@ -282,34 +289,17 @@ def parse_certificate(line: str) -> Certificate:
     return cert
 
 
-# Polynomial factors of the closed-form ball sizes, used to annotate where
-# a witness comes from in human-readable output.
-_BALL_FACTOR_FAMILIES: dict[int, tuple[tuple[str, Callable[[int], int]], ...]] = {
-    2: (("n+2", lambda n: n + 2), ("n-1", lambda n: n - 1)),
-    3: (("n+1", lambda n: n + 1), ("n^2+2n-6", lambda n: n**2 + 2 * n - 6)),
-    4: (
-        ("n+2", lambda n: n + 2),
-        ("n+1", lambda n: n + 1),
-        ("n^2+3n-12", lambda n: n**2 + 3 * n - 12),
-    ),
-    5: (
-        ("n+7", lambda n: n + 7),
-        ("n", lambda n: n),
-        ("n^3+3n^2-6n-28", lambda n: n**3 + 3 * n**2 - 6 * n - 28),
-    ),
-}
-
-
 def witness_factor_families(cert: Certificate) -> list[str]:
     """Which polynomial factors of the closed-form ball share a prime with the witness.
 
-    Only meaningful for radii 2..5 where the ball factors into named
-    polynomial pieces; empty otherwise.
+    The factors are the ``BALL_FORM_FACTORS`` of radius t, read only where
+    their product is the ball (n at least ``BALL_FORM_MIN_N[t]``); empty
+    otherwise, and without a witness.
     """
-    if cert.witness is None:
+    n, t = cert.n, cert.t
+    if cert.witness is None or t not in BALL_FORM_FACTORS or n < BALL_FORM_MIN_N[t]:
         return []
-    families = _BALL_FACTOR_FAMILIES.get(cert.t, ())
-    return [name for name, poly in families if math.gcd(poly(cert.n), cert.witness) > 1]
+    return [name for name, poly in BALL_FORM_FACTORS[t] if math.gcd(poly(n), cert.witness) > 1]
 
 
 def format_certificate_pretty(cert: Certificate) -> str:

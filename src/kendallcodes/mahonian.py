@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 MAX_TABLE_N = 256
 
@@ -258,10 +258,30 @@ def ball_count(n: int, r: int) -> int:
 
 BALL_FORM_MIN_N = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
 
+# B(n, r) for r <= 5 is the product of these named polynomials in n over
+# r!; the certifier's pretty output names those a witness shares a prime with.
+BALL_FORM_FACTORS: dict[int, tuple[tuple[str, Callable[[int], int]], ...]] = {
+    0: (),
+    1: (("n", lambda n: n),),
+    2: (("n+2", lambda n: n + 2), ("n-1", lambda n: n - 1)),
+    3: (("n+1", lambda n: n + 1), ("n^2+2n-6", lambda n: n**2 + 2 * n - 6)),
+    4: (
+        ("n+2", lambda n: n + 2),
+        ("n+1", lambda n: n + 1),
+        ("n^2+3n-12", lambda n: n**2 + 3 * n - 12),
+    ),
+    5: (
+        ("n+7", lambda n: n + 7),
+        ("n", lambda n: n),
+        ("n^3+3n^2-6n-28", lambda n: n**3 + 3 * n**2 - 6 * n - 28),
+    ),
+}
+
 
 def ball_closed_form(n: int, r: int) -> int:
     """Ball size for radii up to 5 as a polynomial in n, O(1) for any n.
 
+    The product of the ``BALL_FORM_FACTORS`` of r, divided exactly by r!.
     Thresholds are enforced exactly as stated; below them the polynomial
     disagrees with the true ball size (the sphere summands degenerate).
     """
@@ -269,17 +289,8 @@ def ball_closed_form(n: int, r: int) -> int:
         raise ValueError(f"closed forms cover radii 0..5, got {r}")
     if n < BALL_FORM_MIN_N[r]:
         raise ValueError(f"radius {r} closed form needs n >= {BALL_FORM_MIN_N[r]}, got {n}")
-    if r == 0:
-        return 1
-    if r == 1:
-        return n
-    if r == 2:
-        return _exact_div((n + 2) * (n - 1), 2)
-    if r == 3:
-        return _exact_div((n + 1) * (n**2 + 2 * n - 6), 6)
-    if r == 4:
-        return _exact_div((n + 2) * (n + 1) * (n**2 + 3 * n - 12), 24)
-    return _exact_div((n + 7) * n * (n**3 + 3 * n**2 - 6 * n - 28), 120)
+    product = math.prod(poly(n) for _, poly in BALL_FORM_FACTORS[r])
+    return _exact_div(product, math.factorial(r))
 
 
 TSV_HEADER = "n\ti\tsphere\tball"

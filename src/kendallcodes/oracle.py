@@ -59,17 +59,6 @@ EXHAUSTED_NONE = "EXHAUSTED_NONE"
 
 
 @dataclass(frozen=True)
-class InversionHistogram:
-    """counts[i] = number of permutations of [n] at distance i from a center.
-
-    Around the identity that distance is the number of inversions.
-    """
-
-    n: int
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CodeSearchResult:
     """Outcome of an exhaustive perfect-code search.
 
@@ -87,10 +76,8 @@ class CodeSearchResult:
     note: str = ""
 
 
-def inversion_histogram(
-    n: int, center: Optional[Sequence[int]] = None
-) -> InversionHistogram:
-    """Count the distance of every permutation of [n] from ``center``.
+def inversion_histogram(n: int, center: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+    """How many permutations of [n] lie at each distance 0..D from ``center``.
 
     The center defaults to the identity, where the distance is the number
     of inversions.  Each distance is counted by a direct pair scan.
@@ -115,7 +102,7 @@ def inversion_histogram(
                 if left > right:
                     inversions += 1
         counts[inversions] += 1
-    return InversionHistogram(n=n, counts=tuple(counts))
+    return tuple(counts)
 
 
 def ball_census(n: int, r: int, center: Sequence[int]) -> int:
@@ -124,7 +111,7 @@ def ball_census(n: int, r: int, center: Sequence[int]) -> int:
         raise ValueError(f"census supports 2 <= n <= {MAX_CENSUS_N}, got {n}")
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    return sum(inversion_histogram(n, center).counts[: r + 1])
+    return sum(inversion_histogram(n, center)[: r + 1])
 
 
 def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:

@@ -71,7 +71,7 @@ def test_criterion_2_midpoint_sphere_three_ways():
         assert sphere_size(table, 5, 5) == 22
         assert sphere_size_large_radius(table, 5, 5) == 22
         assert sphere_closed_form(5, 5) == 22
-        assert inversion_histogram(5).counts[5] == 22
+        assert inversion_histogram(5)[5] == 22
 
     _criterion(2, 1.0, "S(5, 5) = 22 by recurrence, recursion, form, enumeration", body)
 
@@ -151,7 +151,7 @@ def test_criterion_6_enumeration_matches_recurrence():
     def body():
         table = build_table(8)
         for n in range(2, 9):
-            assert inversion_histogram(n).counts == table.row(n), n
+            assert inversion_histogram(n) == table.row(n), n
 
     _criterion(6, 10.0, "brute-force distance histograms for all n up to 8", body)
 

@@ -373,6 +373,27 @@ def test_checker_rejects_underived_witness_free_claims():
     assert check_certificate(dataclasses.replace(fake, verdict=INCONCLUSIVE))
 
 
+@pytest.mark.parametrize(
+    "n, t, field, value",
+    [
+        (13, 3, "n", 13.0),
+        (13, 3, "t", 3.0),
+        (13, 3, "factorization", ((3.0, 2), (7, 2))),
+        (5, 2, "witness", 7.0),
+        (13, 3, "ball", 441.0),
+        (13, 3, "witness", 7.0),
+        (13, 3, "witness_exponents", (2.0, 1)),
+        (13, 3, "factorization", ((3, 2), (7, 2.0))),
+        (13, 1, "t", True),
+    ],
+)
+def test_checker_accepts_only_int_fields(n, t, field, value):
+    # each value equals the int it stands for; the checker neither raises nor accepts
+    cert = certify(n, t)
+    assert check_certificate(cert)
+    assert check_certificate(dataclasses.replace(cert, **{field: value})) is False
+
+
 def test_checker_rejects_records_past_the_work_bound():
     # certify never makes such a record, so the checker refuses it unrecomputed
     cert = certify(10000, 1019)
@@ -496,6 +517,9 @@ def test_witness_factor_families():
     assert witness_factor_families(certify(13, 4)) == ["n+1", "n^2+3n-12"]
     assert witness_factor_families(certify(4, 6)) == []  # no witness at all
     assert witness_factor_families(certify(5, 106)) == []
+    assert witness_factor_families(certify(5, 5)) == ["n^3+3n^2-6n-28"]  # ball 71
+    # at n = 4 the radius-5 factors multiply to 11 * 4 * 60 / 5!, not B(4, 5)
+    assert witness_factor_families(dataclasses.replace(certify(4, 5), witness=5)) == []
 
 
 def test_format_certificate_pretty():

@@ -4,12 +4,15 @@ Output lines and exit codes are frozen; records printed by certify/scan
 must parse back into the exact certificates the library produces.
 """
 
-import dataclasses
+import os
+import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import kendallcodes
 from kendallcodes import certifier, mahonian, oracle
 from kendallcodes.certifier import (
     INCONCLUSIVE,
@@ -19,6 +22,7 @@ from kendallcodes.certifier import (
     parse_certificate,
 )
 from kendallcodes.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -308,9 +312,8 @@ def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     real = oracle.inversion_histogram
 
     def miscounted(n, center=None):
-        histogram = real(n, center)
-        counts = histogram.counts
-        return dataclasses.replace(histogram, counts=counts[:-1] + (counts[-1] + 1,))
+        counts = real(n, center)
+        return counts[:-1] + (counts[-1] + 1,)
 
     monkeypatch.setattr(oracle, "inversion_histogram", miscounted)
     code, out, err = run_cli(capsys, "verify", "--n", "4")
@@ -321,10 +324,45 @@ def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     assert err == ""
 
 
+def test_verify_checks_the_censuses_against_the_ball_engine(capsys, monkeypatch):
+    real = mahonian.ball_count
+
+    def off_at_the_diameter(n, r):
+        return real(n, r) + (r == mahonian.max_distance(n))
+
+    monkeypatch.setattr(mahonian, "ball_count", off_at_the_diameter)
+    code, out, _ = run_cli(capsys, "verify", "--n", "5")
+    assert code == EXIT_CHECK_FAILED
+    lines = out.splitlines()
+    assert "FAIL ball censuses of two centers match ball_count at all r" in lines
+    assert sum(line.startswith("PASS") for line in lines) == 4
+
+
 def test_verify_rejects_large_groups(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "11")
     assert code == EXIT_VALIDATION
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--max-n", "60"), ("scan", "--t", "3", "--from", "2", "--to", "3000")],
+)
+def test_a_reader_closing_early_exits_141_silently(argv):
+    # both write far more than a pipe holds, so the writer meets the closed end
+    src = str(Path(kendallcodes.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "kendallcodes.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (EXIT_BROKEN_PIPE, b"")
+    assert EXIT_BROKEN_PIPE == 141
 
 
 def test_argparse_errors_exit_two():

@@ -13,6 +13,7 @@ import pytest
 from kendallcodes import mahonian
 from kendallcodes.mahonian import (
     ball_closed_form,
+    ball_count,
     ball_size,
     build_table,
     max_distance,
@@ -231,6 +232,16 @@ def test_ball_closed_forms_match_table(table60):
                 continue
             expected = ball_size(table60, n, min(r, max_distance(n))).value
             assert ball_closed_form(n, r) == expected, (n, r)
+
+
+def test_ball_closed_forms_match_ball_count_to_2000():
+    assert mahonian.BALL_FORM_FACTORS.keys() == mahonian.BALL_FORM_MIN_N.keys()
+    for r, low in mahonian.BALL_FORM_MIN_N.items():
+        for n in range(1, low):
+            with pytest.raises(ValueError, match="closed form needs"):
+                ball_closed_form(n, r)
+        for n in range(low, 2001):
+            assert ball_closed_form(n, r) == ball_count(n, r), (n, r)
 
 
 def test_tsv_export_golden():
