@@ -60,19 +60,16 @@ from .oracle import (
     verify_min_distance,
 )
 from .perms import (
-    adjacent_neighbors,
     compose,
     enumerate_sn,
-    format_permutation,
     identity,
     inverse,
     kendall_distance,
     kendall_weight,
-    parse_permutation,
     reverse,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "Certificate",
@@ -109,14 +106,11 @@ __all__ = [
     "inversion_histogram",
     "search_perfect_code",
     "verify_min_distance",
-    "adjacent_neighbors",
     "compose",
     "enumerate_sn",
-    "format_permutation",
     "identity",
     "inverse",
     "kendall_distance",
     "kendall_weight",
-    "parse_permutation",
     "reverse",
 ]

@@ -28,13 +28,10 @@ diffable.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distance
 
@@ -145,28 +142,20 @@ def certify(n: int, t: int) -> Certificate:
     return Certificate(n, t, ball, smooth, *_verdict(n, smooth, cofactor))
 
 
-def scan(t: int, n_from: int, n_to: int, *, jobs: int = 1) -> list[Certificate]:
-    """One certificate per n in [n_from, n_to], in order.
+def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
+    """One certificate per n in [n_from, n_to], in order, each made as it is consumed.
 
-    Range problems are rejected up front, before any work: the work on a
-    ball grows with n, so the range is served when (n_to, t) is.  The
-    entries are shared out to min(jobs, range length, CPU count) worker
-    processes, and one worker means no pool at all.
+    Range problems are rejected at the call, before any work.  The work on
+    a ball, min(n, r) * r with r = min(t, D(n)), never decreases as n
+    grows, so the range is served when (n_to, t) is, and no certificate
+    of an accepted range is refused partway through.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
     if n_to < n_from:
         raise ValueError(f"empty scan range [{n_from}, {n_to}]")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     _check_served(n_to, t)
-    ns = range(n_from, n_to + 1)
-    workers = min(jobs, len(ns), os.cpu_count() or 1)
-    if workers > 1:
-        chunksize = max(1, len(ns) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(functools.partial(certify, t=t), ns, chunksize=chunksize))
-    return [certify(n, t) for n in ns]
+    return (certify(n, t) for n in range(n_from, n_to + 1))
 
 
 def check_certificate(cert: Certificate) -> bool:
@@ -180,11 +169,18 @@ def check_certificate(cert: Certificate) -> bool:
     from that split.  n! is never built.
 
     A record outside the range :func:`ball_value` serves is rejected
-    unrecomputed: :func:`certify` never makes one, nor one holding a float
-    or bool, which equals the int it stands for but prints otherwise.
+    unrecomputed: :func:`certify` never makes one, nor one of another
+    shape: ``factorization`` a tuple of pairs, ``witness_exponents`` None
+    or a pair, and every number an exact int (a float or bool equals the
+    int it stands for but prints otherwise).
     """
-    n, smooth = cert.n, cert.factorization
-    numbers = [n, cert.t, cert.ball, *chain.from_iterable(smooth), *(cert.witness_exponents or ())]
+    n, smooth, exponents = cert.n, cert.factorization, cert.witness_exponents
+    if type(smooth) is not tuple:
+        return False
+    pairs = smooth if exponents is None else (*smooth, exponents)
+    if any(type(pair) is not tuple or len(pair) != 2 for pair in pairs):
+        return False
+    numbers = [n, cert.t, cert.ball, *chain.from_iterable(pairs)]
     if cert.witness is not None:
         numbers.append(cert.witness)
     if set(map(type, numbers)) != {int}:

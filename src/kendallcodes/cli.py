@@ -26,7 +26,7 @@ import os
 import sys
 from itertools import accumulate
 from math import factorial
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import certifier, mahonian, oracle
 
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="error-correction radius")
     p.add_argument("--from", dest="n_from", type=int, required=True, help="first group size")
     p.add_argument("--to", dest="n_to", type=int, required=True, help="last group size")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("table", help="stream sphere/ball sizes as TSV")
@@ -115,36 +114,31 @@ def cmd_ball(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_certificates(certs: list[certifier.Certificate], fmt: str) -> None:
+def _emit_certificates(certs: Iterable[certifier.Certificate], fmt: str) -> int:
+    """Print each certificate as soon as it is made; 3 if any verdict is INCONCLUSIVE."""
     if fmt == "tsv":
         print("\t".join(certifier.RECORD_FIELDS))
-        for cert in certs:
+    code = EXIT_OK
+    for i, cert in enumerate(certs):
+        if fmt == "tsv":
             values = certifier.certificate_values(cert)
             print("\t".join(values[name] for name in certifier.RECORD_FIELDS))
-    elif fmt == "pretty":
-        blocks = [certifier.format_certificate_pretty(cert) for cert in certs]
-        print("\n\n".join(blocks))
-    else:
-        for cert in certs:
+        elif fmt == "pretty":
+            # a blank line between blocks
+            print(("\n" if i else "") + certifier.format_certificate_pretty(cert))
+        else:
             print(certifier.format_certificate(cert))
-
-
-def _certificates_exit_code(certs: list[certifier.Certificate]) -> int:
-    if any(c.verdict == certifier.INCONCLUSIVE for c in certs):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        if cert.verdict == certifier.INCONCLUSIVE:
+            code = EXIT_INCONCLUSIVE
+    return code
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cert = certifier.certify(args.n, args.t)
-    _emit_certificates([cert], args.format)
-    return _certificates_exit_code([cert])
+    return _emit_certificates([certifier.certify(args.n, args.t)], args.format)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    certs = certifier.scan(args.t, args.n_from, args.n_to, jobs=args.jobs)
-    _emit_certificates(certs, args.format)
-    return _certificates_exit_code(certs)
+    return _emit_certificates(certifier.scan(args.t, args.n_from, args.n_to), args.format)
 
 
 def cmd_table(args: argparse.Namespace) -> int:

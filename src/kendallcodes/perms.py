@@ -154,21 +154,6 @@ def kendall_distance(sigma: Sequence[int], pi: Sequence[int]) -> int:
     return inversions
 
 
-def adjacent_neighbors(pi: Sequence[int]) -> list[Permutation]:
-    """All permutations one adjacent transposition away, in position order.
-
-    >>> adjacent_neighbors((1, 2, 3))
-    [(2, 1, 3), (1, 3, 2)]
-    """
-    pi = check_permutation(pi)
-    neighbors = []
-    for i in range(len(pi) - 1):
-        swapped = list(pi)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        neighbors.append(tuple(swapped))
-    return neighbors
-
-
 def enumerate_sn(n: int) -> Iterator[Permutation]:
     """Lazily yield all of S_n in lexicographic order.
 
@@ -179,27 +164,3 @@ def enumerate_sn(n: int) -> Iterator[Permutation]:
         raise ValueError(f"enumeration supports 1 <= n <= {MAX_ENUM_N}, got {n}")
     return iter(itertools.permutations(range(1, n + 1)))
 
-
-def format_permutation(pi: Sequence[int]) -> str:
-    """Render one-line notation as text, e.g. ``[2,1,3]``."""
-    pi = check_permutation(pi)
-    return "[" + ",".join(str(v) for v in pi) + "]"
-
-
-def parse_permutation(text: str) -> Permutation:
-    """Parse the textual form produced by :func:`format_permutation`.
-
-    >>> parse_permutation("[2,1,3]")
-    (2, 1, 3)
-    """
-    stripped = text.strip()
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ValueError(f"expected bracketed one-line notation, got {text!r}")
-    body = stripped[1:-1].strip()
-    if not body:
-        raise ValueError("empty permutation")
-    try:
-        entries = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise ValueError(f"non-integer entry in {text!r}") from None
-    return check_permutation(entries)

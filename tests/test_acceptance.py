@@ -110,10 +110,10 @@ def test_criterion_4_key_ball_arithmetic():
 @functools.lru_cache(maxsize=1)
 def _scan_results():
     return {
-        3: scan(3, 4, 33),
-        4: scan(4, 5, 19),
-        2: scan(2, 2, 500),
-        5: scan(5, 2, 500),
+        3: list(scan(3, 4, 33)),
+        4: list(scan(4, 5, 19)),
+        2: list(scan(2, 2, 500)),
+        5: list(scan(5, 2, 500)),
     }
 
 

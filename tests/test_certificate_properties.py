@@ -4,6 +4,8 @@ Each certificate is mutated in one field at a time: the ball, the
 witness and either exponent by one, the verdict swapped for each other
 verdict, one smooth exponent bumped, one smooth prime dropped.  The
 checker must reject every such record, and accept the genuine one.
+Fields are also replaced by values of any shape, which the checker must
+judge without raising.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from kendallcodes.certifier import (  # noqa: E402
     MAX_BALL_WORK,
+    Certificate,
     VERDICTS,
     certify,
     check_certificate,
@@ -102,3 +105,49 @@ def test_checker_rejects_every_single_field_mutation(case):
     assert check_certificate(cert)
     for forged in single_field_mutations(cert):
         assert not check_certificate(forged), forged
+
+
+# what a field could be mistyped as: numbers of every kind, None, verdict
+# names, and tuples of them at any depth and arity
+SHAPES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(19, 5000).map(lambda digits: 10**digits),  # past 4300 digits, too
+        st.floats(),
+        st.sampled_from(VERDICTS),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+FIELDS = [field.name for field in dataclasses.fields(Certificate)]
+
+
+def exactly(a, b):
+    """Equal with the same types throughout, so 441.0 and True do not pass for ints."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(exactly, a, b))
+    return a == b
+
+
+def made_by_certify(cert):
+    if type(cert.n) is not int or type(cert.t) is not int:
+        return False
+    try:
+        genuine = certify(cert.n, cert.t)
+    except ValueError:
+        return False
+    return exactly(dataclasses.astuple(cert), dataclasses.astuple(genuine))
+
+
+@settings(max_examples=300, deadline=None)
+@example((13, 3), {"factorization": ((3, 2, 1), (7, 2))})
+@example((13, 3), {"witness_exponents": 5})
+@example((13, 3), {})
+@given(group_and_radius(), st.dictionaries(st.sampled_from(FIELDS), SHAPES, max_size=3))
+def test_checker_never_raises_and_accepts_only_what_certify_makes(case, changes):
+    forged = dataclasses.replace(certify(*case), **changes)
+    assert check_certificate(forged) == made_by_certify(forged)

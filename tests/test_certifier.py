@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from kendallcodes import certifier
 from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
@@ -122,7 +121,7 @@ def test_every_emitted_certificate_passes_the_checker():
 
 
 def test_scan_radius_3_rules_out_every_group_size():
-    certs = scan(3, 4, 33)
+    certs = list(scan(3, 4, 33))
     assert len(certs) == 30
     assert [c.n for c in certs] == list(range(4, 34))
     assert all(c.verdict != INCONCLUSIVE for c in certs)
@@ -132,7 +131,7 @@ def test_scan_radius_3_rules_out_every_group_size():
 
 
 def test_scan_radius_4_rules_out_every_group_size():
-    certs = scan(4, 5, 19)
+    certs = list(scan(4, 5, 19))
     assert len(certs) == 15
     assert all(c.verdict != INCONCLUSIVE for c in certs)
     exponent_cases = {c.n for c in certs if c.verdict == NONEXISTENT_NOT_DIVIDING}
@@ -164,7 +163,7 @@ def test_scan_radius_5_prime_family():
 
 
 def test_scan_beyond_closed_forms_uses_shared_table():
-    certs = scan(7, 2, 6)
+    certs = list(scan(7, 2, 6))
     assert [c.n for c in certs] == [2, 3, 4, 5, 6]
     by_n = {c.n: c for c in certs}
     # tiny groups clamp to the whole group
@@ -189,52 +188,7 @@ def test_scan_validates_arguments():
     with pytest.raises(ValueError):
         scan(-1, 2, 5)
     with pytest.raises(ValueError):
-        scan(3, 2, 5, jobs=0)
-    with pytest.raises(ValueError):
         scan(1020, 9999, 10000)  # 1020^2 steps at n=10000, past the work bound
-
-
-def test_scan_parallel_matches_serial():
-    serial = scan(3, 4, 20)
-    parallel = scan(3, 4, 20, jobs=2)
-    assert parallel == serial
-
-
-def test_scan_parallel_beyond_closed_forms_matches_serial():
-    assert scan(6, 2, 40, jobs=2) == scan(6, 2, 40)
-
-
-def test_scan_clamps_its_workers(monkeypatch):
-    # the pool is replaced by one that records its size and maps in process,
-    # so no worker is ever started
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    serial = scan(3, 4, 20)
-    monkeypatch.setattr(certifier, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(certifier.os, "cpu_count", lambda: 4)
-    assert scan(3, 4, 6, jobs=64) == serial[:3]
-    assert scan(3, 4, 20, jobs=64) == serial
-    assert scan(3, 4, 20, jobs=2) == serial
-    assert started == [3, 4, 2]
-    # one worker is the serial path: no pool at all
-    assert scan(3, 4, 4, jobs=64) == serial[:1]
-    assert scan(3, 4, 20, jobs=1) == serial
-    monkeypatch.setattr(certifier.os, "cpu_count", lambda: None)
-    assert scan(3, 4, 20, jobs=8) == serial
-    assert started == [3, 4, 2]
 
 
 def test_verdicts_match_factorial_residues():
@@ -246,6 +200,21 @@ def test_verdicts_match_factorial_residues():
             for k in range(2, cert.n + 1):
                 residue = residue * k % cert.ball
             assert (cert.verdict != INCONCLUSIVE) == (residue != 0), (cert.n, t)
+
+
+# INCONCLUSIVE records per radius over n = 2..MAX_GROUP_N.  This is data, not
+# proof: divisibility leaves these open, and at t = 6 the group sizes 2, 3
+# and 4 have t >= D, where a one-word code is perfect.
+INCONCLUSIVE_CENSUS = {2: 8770, 3: 1871, 4: 1843, 5: 333, 6: 57}
+INCONCLUSIVE_T6_UP_TO_2000 = [2, 3, 4, 80, 288, 302, 441, 902, 1081, 1190, 1227, 1340, 1695, 1936]
+
+
+def test_inconclusive_census():
+    # counted as scan makes them, so one certificate is held at a time
+    for t, count in INCONCLUSIVE_CENSUS.items():
+        open_ns = [c.n for c in scan(t, 2, MAX_GROUP_N) if c.verdict == INCONCLUSIVE]
+        assert len(open_ns) == count, t
+    assert [n for n in open_ns if n <= 2000] == INCONCLUSIVE_T6_UP_TO_2000
 
 
 def test_ball_value_routes():
@@ -391,6 +360,21 @@ def test_checker_accepts_only_int_fields(n, t, field, value):
     # each value equals the int it stands for; the checker neither raises nor accepts
     cert = certify(n, t)
     assert check_certificate(cert)
+    assert check_certificate(dataclasses.replace(cert, **{field: value})) is False
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("factorization", ((3, 2, 1), (7, 2))),
+        ("factorization", ((3,), (7, 2))),
+        ("factorization", None),
+        ("factorization", 5),
+        ("witness_exponents", 5),
+    ],
+)
+def test_checker_rejects_malformed_shapes(field, value):
+    cert = certify(13, 3)
     assert check_certificate(dataclasses.replace(cert, **{field: value})) is False
 
 

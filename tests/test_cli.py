@@ -164,12 +164,45 @@ def test_scan_single_tiny_group(capsys):
     assert (cert.n, cert.t, cert.ball, cert.verdict) == (2, 2, 2, INCONCLUSIVE)
 
 
-def test_scan_parallel_output_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "scan", "--t", "3", "--from", "4", "--to", "12")
-    _, parallel, _ = run_cli(
-        capsys, "scan", "--t", "3", "--from", "4", "--to", "12", "--jobs", "2"
+@pytest.mark.parametrize("fmt", ["records", "tsv", "pretty"])
+def test_scan_writes_each_record_before_making_the_next(monkeypatch, fmt):
+    events = []
+    certify = certifier.certify
+
+    def logged_certify(n, t):
+        events.append("certify")
+        return certify(n, t)
+
+    class Sink:
+        def write(self, text):
+            events.append("write")
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(certifier, "certify", logged_certify)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["scan", "--t", "3", "--from", "4", "--to", "12", "--format", fmt]) == EXIT_OK
+    assert events.count("certify") == 9
+    assert "certify certify" not in " ".join(events)
+    assert events[-1] == "write"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(kendallcodes.__file__).resolve().parents[1])
+    probe = (
+        "import sys, kendallcodes.cli;"
+        " print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
     )
-    assert parallel == serial
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_scan_tsv_format(capsys):
@@ -390,6 +423,7 @@ def test_options_belong_to_the_subcommands_that_read_them(capsys):
         ["verify", "--n", "4", "--format", "records"],
         ["verify", "--n", "4", "--jobs", "2"],
         ["verify", "--n", "4", "--search-budget", "9"],
+        ["scan", "--t", "3", "--from", "4", "--to", "6", "--jobs", "2"],
     ]
     for argv in ignored:
         with pytest.raises(SystemExit) as info:
@@ -398,7 +432,7 @@ def test_options_belong_to_the_subcommands_that_read_them(capsys):
         assert capsys.readouterr().out == "", argv
     read = [
         ["certify", "--n", "5", "--t", "2", "--format", "tsv"],
-        ["scan", "--t", "3", "--from", "4", "--to", "6", "--format", "pretty", "--jobs", "2"],
+        ["scan", "--t", "3", "--from", "4", "--to", "6", "--format", "pretty"],
         ["verify", "--n", "4"],
     ]
     for argv in read:

@@ -14,15 +14,12 @@ import pytest
 
 from kendallcodes import perms
 from kendallcodes.perms import (
-    adjacent_neighbors,
     compose,
     enumerate_sn,
-    format_permutation,
     identity,
     inverse,
     kendall_distance,
     kendall_weight,
-    parse_permutation,
     reverse,
 )
 
@@ -44,6 +41,16 @@ def discordant_pairs(sigma, pi):
         for a, b in itertools.combinations(range(1, n + 1), 2)
         if (pos_sigma[a] < pos_sigma[b]) != (pos_pi[a] < pos_pi[b])
     )
+
+
+def adjacent_neighbors(pi):
+    """All permutations one adjacent transposition away, in position order."""
+    neighbors = []
+    for i in range(len(pi) - 1):
+        swapped = list(pi)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        neighbors.append(tuple(swapped))
+    return neighbors
 
 
 def bfs_distances(start):
@@ -269,18 +276,3 @@ def test_enumerate_sn_rejects_out_of_range():
     with pytest.raises(ValueError):
         enumerate_sn(11)
 
-
-def test_parse_and_format():
-    assert format_permutation((2, 1, 3)) == "[2,1,3]"
-    assert parse_permutation("[2,1,3]") == (2, 1, 3)
-    assert parse_permutation("  [ 2 , 1 , 3 ]  ".replace(" ", "")) == (2, 1, 3)
-    rng = random.Random(20)
-    for _ in range(30):
-        pi = random_permutation(rng, rng.randint(1, 12))
-        assert parse_permutation(format_permutation(pi)) == pi
-
-
-def test_parse_rejects_garbage():
-    for bad in ["", "2,1,3", "[2,1", "[]", "[a,b]", "[1,1]", "[0,1]"]:
-        with pytest.raises(ValueError):
-            parse_permutation(bad)
