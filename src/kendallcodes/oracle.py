@@ -3,14 +3,11 @@
 Everything in this module works by enumerating permutations and measuring
 distances directly, deliberately avoiding the recurrence machinery it is
 meant to check.  Sizes are capped accordingly: histograms up to n = 10,
-ball censuses up to n = 8, perfect-code searches up to n = 6.
+perfect-code searches up to n = 6.
 
-One streaming kernel counts the distance of every permutation from a
-center: ``inversion_histogram(n, center)``, which ``ball_census`` sums.
-It enumerates the permutations of the center's position vector, each of
-which is some permutation already relabelled through the center, so the
-inversion count of each is its distance and no relabelling is done per
-permutation.  S_n is never materialised.
+One streaming kernel, ``inversion_histogram(n)``, counts the inversions
+of every permutation of [n]; ``ball_census`` sums a prefix of it.  S_n is
+never materialised.
 
 The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
 radius-t balls, since a perfect code is a set of centers whose balls
@@ -46,12 +43,10 @@ from .perms import (
     check_permutation,
     compose,
     enumerate_sn,
-    inverse,
     kendall_distance,
 )
 
 MAX_HISTOGRAM_N = 10
-MAX_CENSUS_N = 8
 MAX_SEARCH_N = 6
 
 FOUND = "FOUND"
@@ -76,42 +71,33 @@ class CodeSearchResult:
     note: str = ""
 
 
-def inversion_histogram(n: int, center: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-    """How many permutations of [n] lie at each distance 0..D from ``center``.
+def inversion_histogram(n: int) -> tuple[int, ...]:
+    """How many permutations of [n] lie at each distance 0..D from any center.
 
-    The center defaults to the identity, where the distance is the number
-    of inversions.  Each distance is counted by a direct pair scan.
+    Each count is the number of permutations with that many inversions,
+    found by a direct pair scan.  One count serves every center:
+    relabelling through a center maps S_n onto itself and keeps every
+    distance, so each center sees the identity's distance distribution.
     """
     if not 2 <= n <= MAX_HISTOGRAM_N:
         raise ValueError(f"histogram supports 2 <= n <= {MAX_HISTOGRAM_N}, got {n}")
-    if center is None:
-        position: Sequence[int] = range(n)
-    else:
-        center = check_permutation(center)
-        if len(center) != n:
-            raise ValueError(f"center has size {len(center)}, expected {n}")
-        position = inverse(center)
     counts = [0] * (math.comb(n, 2) + 1)
-    # the permutations of the position vector are exactly the relabelled
-    # pi, position[pi(i)] for each pi in S_n, whose inversions are d(center, pi)
-    for relabeled in itertools.permutations(position):
+    for pi in itertools.permutations(range(n)):
         inversions = 0
         for i in range(n - 1):
-            left = relabeled[i]
-            for right in relabeled[i + 1 :]:
+            left = pi[i]
+            for right in pi[i + 1 :]:
                 if left > right:
                     inversions += 1
         counts[inversions] += 1
     return tuple(counts)
 
 
-def ball_census(n: int, r: int, center: Sequence[int]) -> int:
-    """Count permutations within distance r of ``center`` by full enumeration."""
-    if not 2 <= n <= MAX_CENSUS_N:
-        raise ValueError(f"census supports 2 <= n <= {MAX_CENSUS_N}, got {n}")
+def ball_census(n: int, r: int) -> int:
+    """Count permutations within distance r of any center by full enumeration."""
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    return sum(inversion_histogram(n, center)[: r + 1])
+    return sum(inversion_histogram(n)[: r + 1])
 
 
 def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:

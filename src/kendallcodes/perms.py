@@ -34,14 +34,14 @@ Permutation = tuple[int, ...]
 def check_permutation(pi: Sequence[int]) -> Permutation:
     """Validate one-line notation and return it as a tuple.
 
-    Raises ValueError if the entries are not exactly 1..n in some order
-    for some n >= 1.
+    Raises ValueError if the entries are not the ints 1..n in some order
+    for some n >= 1; floats and bools that compare equal to them are not.
     """
     entries = tuple(pi)
     n = len(entries)
     if n < 1:
         raise ValueError("group size must be at least 1, got 0")
-    if sorted(entries) != list(range(1, n + 1)):
+    if set(map(type, entries)) != {int} or sorted(entries) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {list(entries)}")
     return entries
 

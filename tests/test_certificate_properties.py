@@ -5,7 +5,9 @@ witness and either exponent by one, the verdict swapped for each other
 verdict, one smooth exponent bumped, one smooth prime dropped.  The
 checker must reject every such record, and accept the genuine one.
 Fields are also replaced by values of any shape, which the checker must
-judge without raising.
+judge without raising.  Record lines, arbitrary or with one field's text
+replaced, are parsed: the parser raises only ValueError and prints back
+every line it accepts.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from kendallcodes.certifier import (  # noqa: E402
     MAX_BALL_WORK,
+    RECORD_FIELDS,
     Certificate,
     VERDICTS,
     certify,
@@ -151,3 +154,46 @@ def made_by_certify(cert):
 def test_checker_never_raises_and_accepts_only_what_certify_makes(case, changes):
     forged = dataclasses.replace(certify(*case), **changes)
     assert check_certificate(forged) == made_by_certify(forged)
+
+
+# text near the record syntax, so mutations reach past the field split
+RECORD_TEXT = st.text(alphabet="0123456789+-_ ,^*=\t\n" + "".join(VERDICTS), max_size=40)
+
+
+def parsed_back(line):
+    """Parse ``line``; if accepted, it must be the canonical record it holds.
+
+    The parser drops trailing newlines, so a line read with its terminator
+    is accepted; everything before them must print back byte for byte.
+    """
+    try:
+        cert = parse_certificate(line)
+    except ValueError:
+        return
+    assert format_certificate(cert) == line.rstrip("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@example("")
+@example("n=13")
+@example(format_certificate(certify(13, 3)) + "\n")
+@given(st.one_of(st.text(), RECORD_TEXT))
+def test_parser_raises_only_value_error_on_any_string(line):
+    parsed_back(line)
+
+
+@settings(max_examples=300, deadline=None)
+@example((13, 3), 0, "013")
+@example((13, 3), 2, "441.0")
+@example((13, 3), 3, "3^2*7^2")
+@example((13, 3), 6, "2,1\n")
+@given(
+    group_and_radius(),
+    st.integers(0, len(RECORD_FIELDS) - 1),
+    st.one_of(st.text(), RECORD_TEXT),
+)
+def test_parser_round_trips_every_record_it_accepts(case, index, value):
+    fields = format_certificate(certify(*case)).split("\t")
+    name = fields[index].partition("=")[0]
+    fields[index] = f"{name}={value}"
+    parsed_back("\t".join(fields))

@@ -335,17 +335,36 @@ def test_verify_passes_small_groups(capsys):
     assert lines[-1] == "OK verify n=6"
     assert sum(line.startswith("PASS") for line in lines) == 4  # search stops at n=5
 
-    code, out, _ = run_cli(capsys, "verify", "--n", "9")
+
+def test_verify_check_counts_and_one_histogram(capsys, monkeypatch):
+    # five checks up to n = 5, where the search stops, and four past it; the
+    # benchmark's verify_checks expects these counts up to n = 8
+    for n in range(2, 10):
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n))
+        lines = out.splitlines()
+        assert code == EXIT_OK, n
+        assert lines[-1] == f"OK verify n={n}", n
+        assert sum(line.startswith("PASS") for line in lines) == (5 if n <= 5 else 4), n
+
+    # S_n is enumerated once: every center's census is the one histogram
+    calls = []
+    real = oracle.inversion_histogram
+
+    def counted(n, *center):
+        calls.append(n)
+        return real(n, *center)
+
+    monkeypatch.setattr(oracle, "inversion_histogram", counted)
+    code, out, _ = run_cli(capsys, "verify", "--n", "8")
     assert code == EXIT_OK
-    lines = out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 3  # census stops at n=8
+    assert calls == [8]
 
 
 def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     real = oracle.inversion_histogram
 
-    def miscounted(n, center=None):
-        counts = real(n, center)
+    def miscounted(n):
+        counts = real(n)
         return counts[:-1] + (counts[-1] + 1,)
 
     monkeypatch.setattr(oracle, "inversion_histogram", miscounted)
@@ -367,7 +386,7 @@ def test_verify_checks_the_censuses_against_the_ball_engine(capsys, monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--n", "5")
     assert code == EXIT_CHECK_FAILED
     lines = out.splitlines()
-    assert "FAIL ball censuses of two centers match ball_count at all r" in lines
+    assert "FAIL ball census matches ball_count at all r" in lines
     assert sum(line.startswith("PASS") for line in lines) == 4
 
 

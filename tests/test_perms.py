@@ -13,6 +13,7 @@ from collections import deque
 import pytest
 
 from kendallcodes import perms
+from kendallcodes.oracle import verify_min_distance
 from kendallcodes.perms import (
     compose,
     enumerate_sn,
@@ -95,6 +96,27 @@ def test_rejects_non_permutations():
     for bad in [(1, 1), (2, 3), (0, 1), (1, 2, 4)]:
         with pytest.raises(ValueError):
             kendall_weight(bad)
+
+
+NOT_INTS = [(1.0, 2.0), (2.0, 1.0), (True, 2), (2, True), (1, 2.0)]
+CALLS = {
+    "compose_first": lambda bad: compose(bad, (1, 2)),
+    "compose_second": lambda bad: compose((2, 1), bad),
+    "inverse": lambda bad: inverse(bad),
+    "kendall_weight": lambda bad: kendall_weight(bad),
+    "kendall_distance_first": lambda bad: kendall_distance(bad, (1, 2)),
+    "kendall_distance_second": lambda bad: kendall_distance((1, 2), bad),
+    "verify_min_distance_1": lambda bad: verify_min_distance((bad, (2, 1)), 1),
+    "verify_min_distance_2": lambda bad: verify_min_distance((bad, (2, 1)), 2),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_entries_must_be_ints(call, bad):
+    # floats and bools compare equal to 1 and 2, but are no permutation entries
+    with pytest.raises(ValueError, match="not a permutation"):
+        call(bad)
 
 
 def test_compose_worked_example():
