@@ -248,9 +248,10 @@ def parse_certificate(line: str) -> Certificate:
 
     The line must hold exactly the RECORD_FIELDS, in order, each once, and
     be the canonical record :func:`format_certificate` prints for what it
-    holds, so each certificate has one byte form.
+    holds, so each certificate has one byte form.  One trailing newline,
+    the line's terminator, is dropped; a second one is not.
     """
-    line = line.rstrip("\n")
+    line = line.removesuffix("\n")
     fields: dict[str, str] = {}
     names = []
     for part in line.split("\t"):

@@ -6,14 +6,19 @@ meant to check.  Sizes are capped accordingly: histograms up to n = 10,
 perfect-code searches up to n = 6.
 
 One streaming kernel, ``inversion_histogram(n)``, counts the inversions
-of every permutation of [n]; ``ball_census`` sums a prefix of it.  S_n is
-never materialised.
+of every permutation of [n]; ``ball_census`` sums a prefix of it.  It
+walks S_n by plain changes (Knuth's Algorithm P, TAOCP 7.2.1.2), where
+each step swaps one adjacent pair, so comparing that pair moves the
+running inversion count by exactly one.  S_n is never materialised.
 
 The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
 radius-t balls, since a perfect code is a set of centers whose balls
 partition S_n.  Relabelling values preserves the Kendall distance, so the
-ball around ``c`` is ``compose(x, c)`` for x in the ball around the
-identity, measured once: O(n!·|B|) work instead of n!² distance calls.
+ball around ``c`` is x relabelled through ``c`` for x in the ball around
+the identity, which is measured once by counting inversions: O(n!·|B|)
+work instead of n!² distance calls.  The search's permutations are
+enumerated, not supplied, so it indexes them directly and validates only
+the code it returns.
 When one ball is all of S_n (t at or past the diameter) no ball is
 built: the identity alone is the code.  Because the balls are derived, a
 code the search finds is re-checked by direct distances before it is
@@ -38,13 +43,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
-from .perms import (
-    Permutation,
-    check_permutation,
-    compose,
-    enumerate_sn,
-    kendall_distance,
-)
+from .perms import Permutation, check_permutation, enumerate_sn, kendall_distance
 
 MAX_HISTOGRAM_N = 10
 MAX_SEARCH_N = 6
@@ -71,24 +70,53 @@ class CodeSearchResult:
     note: str = ""
 
 
+def _plain_changes(n: int) -> Iterator[int]:
+    """Walk S_n by plain changes, yielding where each step swaps.
+
+    Starting from the identity, the 0-based positions k of the n! - 1
+    swaps of entries k and k + 1 visit every permutation of n items once.
+    This is Knuth's Algorithm P (TAOCP 7.2.1.2), which finds each swap from
+    its counters alone, so the caller keeps the only copy of the array.
+    """
+    # c[j] of the items below j lie to its right; o[j] is +1 while item j
+    # moves left and -1 while it moves right
+    c = [0] * (n + 1)
+    o = [1] * (n + 1)
+    while True:
+        # the largest item that can still move in its direction moves;
+        # s counts the larger items parked left of all smaller ones
+        j, s = n, 0
+        while (q := c[j] + o[j]) < 0 or q == j:
+            if q == j:
+                if j == 1:
+                    return
+                s += 1
+            o[j] = -o[j]
+            j -= 1
+        yield j + s - max(c[j], q) - 1
+        c[j] = q
+
+
 def inversion_histogram(n: int) -> tuple[int, ...]:
     """How many permutations of [n] lie at each distance 0..D from any center.
 
-    Each count is the number of permutations with that many inversions,
-    found by a direct pair scan.  One count serves every center:
-    relabelling through a center maps S_n onto itself and keeps every
-    distance, so each center sees the identity's distance distribution.
+    Each count is the number of permutations with that many inversions.
+    The walk by plain changes visits every permutation once, and comparing
+    the one adjacent pair each step swaps moves the inversion count by one.
+    One count serves every center: relabelling through a center maps S_n
+    onto itself and keeps every distance, so each center sees the
+    identity's distance distribution.
     """
     if not 2 <= n <= MAX_HISTOGRAM_N:
         raise ValueError(f"histogram supports 2 <= n <= {MAX_HISTOGRAM_N}, got {n}")
     counts = [0] * (math.comb(n, 2) + 1)
-    for pi in itertools.permutations(range(n)):
-        inversions = 0
-        for i in range(n - 1):
-            left = pi[i]
-            for right in pi[i + 1 :]:
-                if left > right:
-                    inversions += 1
+    counts[0] = 1  # the identity, where the walk starts
+    pi = list(range(n))
+    inversions = 0
+    for k in _plain_changes(n):
+        left, right = pi[k], pi[k + 1]
+        pi[k], pi[k + 1] = right, left
+        inversions += 1 if left < right else -1
         counts[inversions] += 1
     return tuple(counts)
 
@@ -118,18 +146,23 @@ def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
     return True
 
 
+def _translate(x: Permutation, center: Permutation) -> Permutation:
+    """Relabel the values of ``x`` through ``center``, unchecked."""
+    return tuple(center[v - 1] for v in x)
+
+
 def _translated_balls(
     perms: list[Permutation], ball: list[Permutation]
 ) -> list[tuple[int, ...]]:
     """The ball around each of ``perms``, as sorted distinct indices into it.
 
     ``ball`` is the ball around the identity; the ball around ``c`` is its
-    translate ``compose(x, c)``, since relabelling values by ``c`` keeps
-    every distance.
+    translate through ``c``, since relabelling values by ``c`` keeps every
+    distance.
     """
     index = {pi: i for i, pi in enumerate(perms)}
     return [
-        tuple(sorted({index[compose(x, center)] for x in ball})) for center in perms
+        tuple(sorted({index[_translate(x, center)] for x in ball})) for center in perms
     ]
 
 
@@ -196,7 +229,12 @@ def search_perfect_code(
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
     perms = list(enumerate_sn(n))
-    ball = [pi for pi in perms if kendall_distance(perms[0], pi) <= t]
+    # the identity's ball, by inversion count: its distance to each pi
+    ball = [
+        pi
+        for pi in perms
+        if sum(left > right for left, right in itertools.combinations(pi, 2)) <= t
+    ]
     order = factorial(n)
     if order % len(ball):
         return CodeSearchResult(

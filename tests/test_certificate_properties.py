@@ -163,20 +163,22 @@ RECORD_TEXT = st.text(alphabet="0123456789+-_ ,^*=\t\n" + "".join(VERDICTS), max
 def parsed_back(line):
     """Parse ``line``; if accepted, it must be the canonical record it holds.
 
-    The parser drops trailing newlines, so a line read with its terminator
-    is accepted; everything before them must print back byte for byte.
+    The parser drops one trailing newline, so a line read with its
+    terminator is accepted; everything before it must print back byte for
+    byte.
     """
     try:
         cert = parse_certificate(line)
     except ValueError:
         return
-    assert format_certificate(cert) == line.rstrip("\n")
+    assert format_certificate(cert) == line.removesuffix("\n")
 
 
 @settings(max_examples=300, deadline=None)
 @example("")
 @example("n=13")
 @example(format_certificate(certify(13, 3)) + "\n")
+@example(format_certificate(certify(13, 3)) + "\n\n")  # a blank line after it
 @given(st.one_of(st.text(), RECORD_TEXT))
 def test_parser_raises_only_value_error_on_any_string(line):
     parsed_back(line)

@@ -433,6 +433,8 @@ def test_record_roundtrip():
         line = format_certificate(cert)
         assert parse_certificate(line) == cert
         assert parse_certificate(line + "\n") == cert
+        with pytest.raises(ValueError):
+            parse_certificate(line + "\n\n")
 
 
 def test_parse_certificate_rejects_malformed_lines():

@@ -4,12 +4,14 @@ These are the ground truth the fast modules are checked against, so their
 own tests lean on literal frozen values and internal consistency.
 """
 
+import itertools
+import math
 import random
 import time
 
 import pytest
 
-from kendallcodes import oracle
+from kendallcodes import oracle, perms
 from kendallcodes.certifier import INCONCLUSIVE, certify
 from kendallcodes.mahonian import ball_size, max_distance
 from kendallcodes.oracle import (
@@ -30,8 +32,41 @@ def test_histogram_golden_values():
 
 
 def test_histogram_matches_recurrence_rows(table60):
-    for n in range(2, 9):
+    for n in range(2, 10):
         assert inversion_histogram(n) == table60.row(n), n
+
+
+def pair_scan_histogram(n):
+    """Inversion counts of S_n by scanning every pair of every permutation."""
+    counts = [0] * (math.comb(n, 2) + 1)
+    for pi in itertools.permutations(range(n)):
+        inversions = 0
+        for i in range(n - 1):
+            left = pi[i]
+            for right in pi[i + 1 :]:
+                if left > right:
+                    inversions += 1
+        counts[inversions] += 1
+    return tuple(counts)
+
+
+def test_histogram_matches_the_pair_scan():
+    for n in range(2, 9):
+        assert inversion_histogram(n) == pair_scan_histogram(n), n
+
+
+def test_plain_changes_visit_each_permutation_once_by_adjacent_swaps():
+    for n in range(1, 8):
+        pi = list(range(n))
+        seen = {tuple(pi)}
+        steps = 0
+        for k in oracle._plain_changes(n):
+            assert 0 <= k < n - 1, (n, k)
+            pi[k], pi[k + 1] = pi[k + 1], pi[k]
+            seen.add(tuple(pi))
+            steps += 1
+        assert steps == math.factorial(n) - 1, n
+        assert len(seen) == math.factorial(n), n
 
 
 def test_histogram_rejects_out_of_range():
@@ -50,8 +85,8 @@ def test_ball_census_golden_values():
 
 
 def test_ball_census_matches_the_table(table60):
-    # every radius; n = 9 and 10 cost seconds per census, and `verify --n 9`
-    # in test_cli checks n = 9 at every radius
+    # every radius; each census walks S_n, about 0.2 s at n = 9 and 2 s at
+    # n = 10, and `verify --n 9` in test_cli checks n = 9 at every radius
     for n in range(2, 8):
         for r in range(max_distance(n) + 1):
             assert ball_census(n, r) == ball_size(table60, n, r).value, (n, r)
@@ -184,9 +219,28 @@ def test_translated_balls_equal_pairwise_balls():
 def test_found_codes_are_rechecked_by_distances(monkeypatch):
     # a broken translation that shrinks every ball to its center makes the
     # cover accept all of S_4 as a "code"; the distance re-check refuses it
-    monkeypatch.setattr(oracle, "compose", lambda x, center: center)
+    monkeypatch.setattr(oracle, "_translate", lambda x, center: center)
     with pytest.raises(AssertionError, match="not perfect"):
         search_perfect_code(4, 1)
+
+
+def test_search_validates_only_the_code_it_returns(monkeypatch):
+    # the search enumerates its own permutations, so it checks none of
+    # them; a code it finds is still validated by its distance re-check
+    calls = []
+    real = perms.check_permutation
+
+    def counted(pi):
+        calls.append(pi)
+        return real(pi)
+
+    monkeypatch.setattr(perms, "check_permutation", counted)
+    monkeypatch.setattr(oracle, "check_permutation", counted)
+    assert search_perfect_code(6, 1).outcome == EXHAUSTED_NONE
+    assert calls == []
+    result = search_perfect_code(6, 7)
+    assert result.outcome == FOUND
+    assert set(result.code) <= set(calls)
 
 
 def test_search_is_deterministic():
