@@ -69,7 +69,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.9.1"
+__version__ = "0.9.2"
 
 __all__ = [
     "Certificate",

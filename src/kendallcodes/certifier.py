@@ -46,8 +46,8 @@ from .numtheory import (
     factorize,
     format_factorization,
     is_probable_prime,
+    is_rough,
     parse_factorization,
-    primes_up_to,
 )
 
 NONEXISTENT_PRIME_FACTOR = "NONEXISTENT_PRIME_FACTOR"
@@ -164,7 +164,10 @@ def check_certificate(cert: Certificate) -> bool:
     Validates the ball value and its split: smooth primes are primes up
     to n with exponents the ball can hold, the smooth part times the
     cofactor is the ball, and a cofactor above 1 exceeds n and has no
-    prime factor up to n (trial division up to min(n, sqrt(cofactor))).
+    prime factor up to min(n, sqrt(cofactor)), by
+    :func:`~kendallcodes.numtheory.is_rough`: one gcd with the product of
+    the sieve's full blocks of primes below that bound and trial division
+    by the few primes past them, not :func:`factorize`'s block skipping.
     The verdict and witness must then be the ones :func:`certify` derives
     from that split.  n! is never built.
 
@@ -202,9 +205,7 @@ def check_certificate(cert: Certificate) -> bool:
     cofactor = cert.cofactor
     if cofactor is None or math.prod(p**e for p, e in smooth) * cofactor != ball:
         return False
-    if cofactor > 1 and not (
-        cofactor > n and all(cofactor % p for p in primes_up_to(min(n, math.isqrt(cofactor))))
-    ):
+    if cofactor > 1 and not (cofactor > n and is_rough(cofactor, min(n, math.isqrt(cofactor)))):
         return False
     return (cert.verdict, cert.witness, cert.witness_exponents) == _verdict(n, smooth, cofactor)
 

@@ -76,11 +76,15 @@ def inverse(pi: Sequence[int]) -> Permutation:
     >>> inverse((2, 3, 1))
     (3, 1, 2)
     """
-    pi = check_permutation(pi)
-    inv = [0] * len(pi)
-    for pos, value in enumerate(pi):
-        inv[value - 1] = pos + 1
-    return tuple(inv)
+    return tuple(_positions(check_permutation(pi)))
+
+
+def _positions(pi: Permutation) -> list[int]:
+    """The 1-based position of each value of an already validated ``pi``."""
+    positions = [0] * len(pi)
+    for pos, value in enumerate(pi, 1):
+        positions[value - 1] = pos
+    return positions
 
 
 def reverse(pi: Sequence[int]) -> Permutation:
@@ -148,7 +152,7 @@ def kendall_distance(sigma: Sequence[int], pi: Sequence[int]) -> int:
     pi = check_permutation(pi)
     if len(sigma) != len(pi):
         raise ValueError(f"size mismatch: {len(sigma)} vs {len(pi)}")
-    position = inverse(sigma)
+    position = _positions(sigma)
     relabeled = [position[v - 1] for v in pi]
     _, inversions = _sort_and_count(relabeled)
     return inversions

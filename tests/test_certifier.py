@@ -24,8 +24,7 @@ from kendallcodes.certifier import (
     witness_factor_families,
 )
 from kendallcodes.mahonian import max_distance
-from kendallcodes.numtheory import MAX_GROUP_N
-from kendallcodes.numtheory import is_probable_prime
+from kendallcodes.numtheory import BLOCK_SIZE, MAX_GROUP_N, is_probable_prime, primes_up_to
 
 
 def test_certify_prime_factor_verdict():
@@ -340,6 +339,33 @@ def test_checker_rejects_underived_witness_free_claims():
     )
     assert not check_certificate(fake)  # 7 divides 7!, and no witness is named
     assert check_certificate(dataclasses.replace(fake, verdict=INCONCLUSIVE))
+
+
+@pytest.mark.parametrize(
+    "n, t, p, where",
+    [
+        (1007, 2, 503, "full block"),  # the last prime of the third block
+        (1029, 2, 257, "full block"),
+        (2962, 3, 2909, "tail"),
+        (9973, 5, 9973, "tail"),  # p = n, the last prime of the sieve
+    ],
+)
+def test_checker_rejects_a_smooth_prime_moved_into_the_cofactor(n, t, p, where):
+    # the forged split still multiplies to the ball and keeps the verdict and
+    # witness certify's rule derives from it, so only the roughness test is left
+    cert = certify(n, t)
+    assert cert.verdict == NONEXISTENT_PRIME_FACTOR and (p, 1) in cert.factorization
+    assert check_certificate(cert)
+    primes = primes_up_to(n)
+    full_blocks_end = len(primes) // BLOCK_SIZE * BLOCK_SIZE
+    assert ("full block" if primes.index(p) < full_blocks_end else "tail") == where
+    forged = dataclasses.replace(
+        cert,
+        factorization=tuple(pair for pair in cert.factorization if pair[0] != p),
+        witness=cert.witness * p,
+    )
+    assert p <= min(n, math.isqrt(forged.witness))
+    assert not check_certificate(forged)
 
 
 @pytest.mark.parametrize(

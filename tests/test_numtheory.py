@@ -1,22 +1,28 @@
 """The smooth split, primality, and factorial divisibility.
 
 Oracles here are direct computation: multiplying a split back together,
-a prime sieve of the test's own, and literal ``n! % v``.  Random cases use a fixed
-seed so failures reproduce.
+a prime sieve of the test's own, plain trial division by its primes, and
+literal ``n! % v``.  Random cases use a fixed seed so failures reproduce;
+the property tests draw bounds at every edge of the blocks of primes
+that ``factorize`` and ``is_rough`` skip or test with one gcd.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kendallcodes.numtheory import (
+    BLOCK_SIZE,
     MAX_GROUP_N,
     divides_factorial,
     factorial_valuation,
     factorize,
     format_factorization,
     is_probable_prime,
+    is_rough,
     parse_factorization,
     primes_up_to,
 )
@@ -94,6 +100,76 @@ def test_factorize_beyond_trial_division():
 def test_factorize_is_deterministic():
     for v in (441, P_BIG_1 * P_BIG_2, M31**2 * 3, 2**40 - 1):
         assert factorize(v, 100) == factorize(v, 100)
+
+
+SIEVE_PRIMES = _sieve(MAX_GROUP_N)
+# the last prime of each full block of BLOCK_SIZE sieve primes
+BLOCK_ENDS = SIEVE_PRIMES[BLOCK_SIZE - 1 :: BLOCK_SIZE]
+TAIL_PRIMES = SIEVE_PRIMES[len(BLOCK_ENDS) * BLOCK_SIZE :]
+# every bound at which a block starts or ends, with its neighbours
+EDGE_BOUNDS = sorted(
+    {0, 1, 2, MAX_GROUP_N - 1, MAX_GROUP_N}
+    | {q + d for q in BLOCK_ENDS for d in (-1, 0, 1)}
+    | {q + d for q in TAIL_PRIMES for d in (-1, 0, 1)}
+)
+SMOOTH_POOL = sorted(
+    {2, 3, 5, 127}
+    | set(BLOCK_ENDS)
+    | set(SIEVE_PRIMES[BLOCK_SIZE :: BLOCK_SIZE])
+    | set(TAIL_PRIMES)
+)
+ROUGH_PARTS = (1, 10007, 10009, 999983, M31, P_BIG_1, 10007 * P_BIG_2)
+
+
+def trial_division_split(value, bound):
+    """The bound-smooth split by dividing out every prime up to bound in turn."""
+    smooth = []
+    for p in SIEVE_PRIMES:
+        if p > bound:
+            break
+        e = 0
+        while value % p == 0:
+            value //= p
+            e += 1
+        if e:
+            smooth.append((p, e))
+    return tuple(smooth), value
+
+
+bounds = st.one_of(st.sampled_from(EDGE_BOUNDS), st.integers(0, MAX_GROUP_N))
+values = st.builds(
+    lambda smooth, rough: math.prod(smooth) * rough,
+    st.lists(st.sampled_from(SMOOTH_POOL), max_size=8),
+    st.one_of(st.sampled_from(ROUGH_PARTS), st.integers(1, 2**80)),
+)
+out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_GROUP_N + 1))
+
+
+@given(values, bounds)
+@example(9973 * 10007, 9973)
+@example(9973 * 10007, 9972)
+@example(131 * 137, 130)
+@example(131 * 137, 131)
+@example(131**2, 131)
+@example(9857 * 9859, 9858)
+def test_split_and_roughness_match_plain_trial_division(value, bound):
+    smooth, cofactor = trial_division_split(value, bound)
+    assert factorize(value, bound) == (smooth, cofactor)
+    assert is_rough(value, bound) == (smooth == ())
+
+
+@given(st.integers(max_value=0), bounds)
+def test_factorize_refuses_a_value_below_one(value, bound):
+    with pytest.raises(ValueError, match="positive integers"):
+        factorize(value, bound)
+
+
+@given(values, out_of_range)
+def test_split_and_roughness_refuse_a_bound_outside_the_sieve(value, bound):
+    with pytest.raises(ValueError, match="prime bound"):
+        factorize(value, bound)
+    with pytest.raises(ValueError, match="prime bound"):
+        is_rough(value, bound)
 
 
 def test_primes_up_to_and_the_bound_range():

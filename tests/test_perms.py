@@ -15,6 +15,7 @@ import pytest
 from kendallcodes import perms
 from kendallcodes.oracle import verify_min_distance
 from kendallcodes.perms import (
+    check_permutation,
     compose,
     enumerate_sn,
     identity,
@@ -195,6 +196,18 @@ def test_distance_matches_defining_pair_count():
         n = rng.randint(2, 10)
         sigma, pi = random_permutation(rng, n), random_permutation(rng, n)
         assert kendall_distance(sigma, pi) == discordant_pairs(sigma, pi)
+
+
+def test_distance_validates_each_argument_once(monkeypatch):
+    checked = []
+
+    def counting_check(pi):
+        checked.append(tuple(pi))
+        return check_permutation(pi)
+
+    monkeypatch.setattr(perms, "check_permutation", counting_check)
+    assert kendall_distance((2, 3, 1), (3, 1, 2)) == 2
+    assert checked == [(2, 3, 1), (3, 1, 2)]
 
 
 def test_distance_matches_bfs_exhaustively():
