@@ -69,7 +69,7 @@ from .perms import (
     reverse,
 )
 
-__version__ = "0.9.2"
+__version__ = "0.9.3"
 
 __all__ = [
     "Certificate",

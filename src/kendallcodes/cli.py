@@ -142,8 +142,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    # checked here, so a refused table writes nothing; one write per line
-    # keeps the output streaming (one full row is over 16 MB at n = 256)
+    # checked here, so a refused table writes nothing; the lines come joined
+    # column by column a row at a time, and one write per line keeps the
+    # output streaming (one full row is over 16 MB at n = 256)
     lines = mahonian.table_tsv_lines(args.max_n, args.max_r)
     write = sys.stdout.write
     for line in lines:

@@ -28,16 +28,19 @@ i needs no column of the previous row beyond i.  The reversal symmetry
 S(n, i) = S(n, n(n-1)/2 - i) halves the work twice: ``rows`` computes
 entries up to the midpoint and mirrors the rest, and the TSV export,
 which streams from ``rows`` and never holds more than one row, converts
-only those to text.  :func:`build_table` keeps every full row, for the
-brute-force cross-checks.  The cost of a full table grows roughly as n^4,
-and MAX_TABLE_N bounds it; ``ball_count`` itself has no limit.
+only those to text and mirrors the text.  It assembles each row column
+by column (index, sphere and ball text) and joins each line in one
+``str.join``, so it runs no bytecode per line.  :func:`build_table` keeps
+every full row, for the brute-force cross-checks.  The cost of a full
+table grows roughly as n^4, and MAX_TABLE_N bounds it; ``ball_count``
+itself has no limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 from typing import Callable, Iterator, Optional
 
@@ -299,18 +302,24 @@ TSV_HEADER = "n\ti\tsphere\tball"
 def table_tsv_lines(max_n: int, max_r: Optional[int] = None) -> Iterator[str]:
     """Stream tab-separated ``n i sphere ball`` lines with header, row by row.
 
-    The arguments are checked at the call, before the header.  By the
-    reversal symmetry, entry i of row n is formatted from the digits of
-    entry min(i, D - i), so each sphere size is converted to text once.
+    The arguments are checked at the call, before the header.  Each line is
+    joined from its row's columns by one ``str.join``: the index column,
+    kept for the whole call and extended as rows grow (they never shrink);
+    the text of spheres 0..D/2, mirrored by slicing, so each sphere size is
+    converted once; and the ball text.
     """
     sphere_rows = rows(max_n, max_r)
 
     def generate() -> Iterator[str]:
         yield TSV_HEADER
+        index: list[str] = []
         for n, row in enumerate(sphere_rows, start=2):
             diameter = max_distance(n)
-            digits = [str(count) for count in row[: diameter // 2 + 1]]
-            for i, ball in enumerate(accumulate(row)):
-                yield f"{n}\t{i}\t{digits[min(i, diameter - i)]}\t{ball}"
+            half = [f"{count}\t" for count in row[: diameter // 2 + 1]]
+            # entry i > D/2 is entry D - i; the cut row ends at len(row) - 1
+            spheres = half + half[diameter - len(row) + 1 : diameter - diameter // 2][::-1]
+            index.extend(f"{i}\t" for i in range(len(index), len(row)))
+            balls = map(str, accumulate(row))
+            yield from map("".join, zip(repeat(f"{n}\t"), index, spheres, balls))
 
     return generate()

@@ -7,6 +7,7 @@ brute-force enumeration cross-check lives in test_oracle.
 """
 
 import math
+from itertools import zip_longest
 
 import pytest
 
@@ -273,6 +274,32 @@ def test_tsv_export_radius_limit():
         table_tsv_lines(3, max_r=-1)
     with pytest.raises(ValueError):
         table_tsv_lines(1)
+
+
+def test_tsv_columns_match_a_plain_rendering(table60):
+    # every line rendered on its own from the full rows, then each row cut
+    # at max_r; the cuts cross the midpoint of some rows and the diameter
+    # of others
+    full = []
+    for n in range(2, 61):
+        row, ball, lines = table60.row(n), 0, []
+        for i, sphere in enumerate(row):
+            ball += sphere
+            lines.append(f"{n}\t{i}\t{sphere}\t{ball}")
+        full.append(lines)
+    for max_r in (0, 1, 2, 3, 7, 100, 1000, 2000, None):
+        expected = ["n\ti\tsphere\tball"]
+        for lines in full:
+            expected += lines if max_r is None else lines[: max_r + 1]
+        assert list(table_tsv_lines(60, max_r)) == expected, max_r
+
+
+def test_tsv_index_column_belongs_to_one_export():
+    # two exports consumed in alternation give the lines each gives alone
+    alone = (list(table_tsv_lines(12)), list(table_tsv_lines(30, 7)))
+    pairs = list(zip_longest(table_tsv_lines(12), table_tsv_lines(30, 7)))
+    for k, lines in enumerate(alone):
+        assert [pair[k] for pair in pairs if pair[k] is not None] == lines
 
 
 def test_rows_cut_at_the_radius_limit(table60):
