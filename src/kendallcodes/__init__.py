@@ -10,10 +10,11 @@ arithmetic throughout:
 * when does the sphere-packing identity already rule out a perfect
   t-error-correcting code (``certifier``).
 
-``perms`` supplies the group arithmetic, ``numtheory`` the n-smooth
-split of a ball size, sieve primality and factorial divisibility without
-n! (``math.factorial`` serves the few places that need n! itself), and
-``oracle`` brute-force ground truth for small n, including an exhaustive
+``numtheory`` supplies the n-smooth split of a ball size, sieve
+primality and factorial divisibility without n! (``math.factorial``
+serves the few places that need n! itself), and ``oracle`` brute-force
+ground truth for small n: the Kendall distance between permutations in
+one-line notation, distance histograms of S_n and an exhaustive
 perfect-code search.
 """
 
@@ -56,20 +57,12 @@ from .oracle import (
     CodeSearchResult,
     ball_census,
     inversion_histogram,
+    kendall_distance,
     search_perfect_code,
     verify_min_distance,
 )
-from .perms import (
-    compose,
-    enumerate_sn,
-    identity,
-    inverse,
-    kendall_distance,
-    kendall_weight,
-    reverse,
-)
 
-__version__ = "0.9.3"
+__version__ = "0.10.0"
 
 __all__ = [
     "Certificate",
@@ -104,13 +97,7 @@ __all__ = [
     "CodeSearchResult",
     "ball_census",
     "inversion_histogram",
+    "kendall_distance",
     "search_perfect_code",
     "verify_min_distance",
-    "compose",
-    "enumerate_sn",
-    "identity",
-    "inverse",
-    "kendall_distance",
-    "kendall_weight",
-    "reverse",
 ]

@@ -101,9 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sphere(args: argparse.Namespace) -> int:
     n, i = args.n, args.i
-    if 2 <= n <= certifier.MAX_GROUP_N and not 0 <= i <= mahonian.max_distance(n):
-        print(0)
-        return EXIT_OK
+    if 2 <= n <= certifier.MAX_GROUP_N:
+        top = mahonian.max_distance(n)
+        if not 0 <= i <= top:
+            print(0)
+            return EXIT_OK
+        # reversal maps distance i to D - i; the work bound grows with the
+        # radius, so the nearer end is never refused where the farther is not
+        i = min(i, top - i)
     ball = certifier.ball_value(n, i)
     print(ball - (certifier.ball_value(n, i - 1) if i else 0))
     return EXIT_OK

@@ -88,11 +88,6 @@ def _prime_count(bound: int) -> int:
     return bisect_right(_small_primes(), bound)
 
 
-def primes_up_to(bound: int) -> tuple[int, ...]:
-    """The primes p <= bound, ascending, for 0 <= bound <= MAX_GROUP_N."""
-    return _small_primes()[: _prime_count(bound)]
-
-
 def is_probable_prime(p: int) -> bool:
     """Whether p is prime, read from the sieve: exact for every p <= MAX_GROUP_N.
 

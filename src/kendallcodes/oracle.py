@@ -5,6 +5,12 @@ distances directly, deliberately avoiding the recurrence machinery it is
 meant to check.  Sizes are capped accordingly: histograms up to n = 10,
 perfect-code searches up to n = 6.
 
+A permutation of [n] = {1, ..., n} is a tuple of the values 1..n in
+one-line notation: ``pi[i]`` is the image of position ``i + 1``.
+``check_permutation`` validates that format wherever permutations come
+from a caller, and ``kendall_distance`` measures two of them by a
+merge-sort inversion count, O(n log n) steps at any n.
+
 One streaming kernel, ``inversion_histogram(n)``, counts the inversions
 of every permutation of [n]; ``ball_census`` sums a prefix of it.  It
 walks S_n by plain changes (Knuth's Algorithm P, TAOCP 7.2.1.2), where
@@ -43,13 +49,73 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
-from .perms import Permutation, check_permutation, enumerate_sn, kendall_distance
-
 MAX_HISTOGRAM_N = 10
 MAX_SEARCH_N = 6
 
 FOUND = "FOUND"
 EXHAUSTED_NONE = "EXHAUSTED_NONE"
+
+Permutation = tuple[int, ...]
+
+
+def check_permutation(pi: Sequence[int]) -> Permutation:
+    """Validate one-line notation and return it as a tuple.
+
+    Raises ValueError if the entries are not the ints 1..n in some order
+    for some n >= 1; floats and bools that compare equal to them are not.
+    """
+    entries = tuple(pi)
+    n = len(entries)
+    if n < 1:
+        raise ValueError("group size must be at least 1, got 0")
+    if set(map(type, entries)) != {int} or sorted(entries) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {list(entries)}")
+    return entries
+
+
+def _sort_and_count(seq: list[int]) -> tuple[list[int], int]:
+    """``seq`` sorted, and its inversion count, by merge sort."""
+    if len(seq) <= 1:
+        return seq, 0
+    mid = len(seq) // 2
+    left, cl = _sort_and_count(seq[:mid])
+    right, cr = _sort_and_count(seq[mid:])
+    merged: list[int] = []
+    count = cl + cr
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            # right[j] jumps ahead of every remaining left element
+            merged.append(right[j])
+            count += len(left) - i
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return merged, count
+
+
+def kendall_distance(sigma: Sequence[int], pi: Sequence[int]) -> int:
+    """Kendall tau distance: number of value pairs the two permutations order oppositely.
+
+    Equals the minimum number of adjacent transpositions transforming one
+    permutation into the other, and is computed as the inversion count of
+    ``pi`` relabeled through ``sigma``'s positions.
+
+    >>> kendall_distance((2, 1, 3), (1, 3, 2))
+    2
+    """
+    sigma = check_permutation(sigma)
+    pi = check_permutation(pi)
+    if len(sigma) != len(pi):
+        raise ValueError(f"size mismatch: {len(sigma)} vs {len(pi)}")
+    position = [0] * len(sigma)
+    for pos, value in enumerate(sigma, 1):
+        position[value - 1] = pos
+    _, inversions = _sort_and_count([position[v - 1] for v in pi])
+    return inversions
 
 
 @dataclass(frozen=True)
@@ -228,7 +294,7 @@ def search_perfect_code(
         raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    perms = list(enumerate_sn(n))
+    perms = list(itertools.permutations(range(1, n + 1)))
     # the identity's ball, by inversion count: its distance to each pi
     ball = [
         pi

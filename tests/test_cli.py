@@ -61,6 +61,19 @@ def test_sphere_table_route_and_cap(capsys, table150):
         assert err.startswith("error:") and "between 2 and 10000" in err, i
 
 
+def test_sphere_folds_past_the_midpoint(capsys):
+    # S(n, i) = S(n, D - i): unfolded, i = 19899 at n = 200 takes 3979800
+    # steps, past the bound, while S(200, 1) takes one
+    assert run_cli(capsys, "sphere", "--n", "200", "--i", "19899") == (EXIT_OK, "199\n", "")
+    for n, i in ((13, 40), (13, 75), (13, 78), (20, 150)):
+        unfolded = ball_count(n, i) - ball_count(n, i - 1)
+        assert run_cli(capsys, "sphere", "--n", str(n), "--i", str(i)) == (
+            EXIT_OK,
+            f"{unfolded}\n",
+            "",
+        ), (n, i)
+
+
 def test_sphere_rejects_tiny_group(capsys):
     code, _, err = run_cli(capsys, "sphere", "--n", "1", "--i", "0")
     assert code == EXIT_VALIDATION

@@ -24,7 +24,6 @@ from kendallcodes.numtheory import (
     is_probable_prime,
     is_rough,
     parse_factorization,
-    primes_up_to,
 )
 
 # primes far beyond the sieve
@@ -40,6 +39,9 @@ def _sieve(limit):
         if flags[p]:
             flags[p * p :: p] = [False] * len(flags[p * p :: p])
     return [i for i, flag in enumerate(flags) if flag]
+
+
+SIEVE_PRIMES = _sieve(MAX_GROUP_N)
 
 
 def test_factorize_golden_values():
@@ -79,7 +81,7 @@ def test_factorize_random_roundtrip():
         assert primes == sorted(set(primes))
         assert all(e >= 1 for _, e in smooth)
         assert all(p <= bound and is_probable_prime(p) for p in primes)
-        assert all(cofactor % p for p in primes_up_to(bound))
+        assert all(cofactor % p for p in SIEVE_PRIMES if p <= bound)
 
 
 def test_factorize_beyond_trial_division():
@@ -102,7 +104,6 @@ def test_factorize_is_deterministic():
         assert factorize(v, 100) == factorize(v, 100)
 
 
-SIEVE_PRIMES = _sieve(MAX_GROUP_N)
 # the last prime of each full block of BLOCK_SIZE sieve primes
 BLOCK_ENDS = SIEVE_PRIMES[BLOCK_SIZE - 1 :: BLOCK_SIZE]
 TAIL_PRIMES = SIEVE_PRIMES[len(BLOCK_ENDS) * BLOCK_SIZE :]
@@ -165,24 +166,13 @@ def test_factorize_refuses_a_value_below_one(value, bound):
 
 
 @given(values, out_of_range)
+@example(441, -1)
+@example(441, MAX_GROUP_N + 1)
 def test_split_and_roughness_refuse_a_bound_outside_the_sieve(value, bound):
     with pytest.raises(ValueError, match="prime bound"):
         factorize(value, bound)
     with pytest.raises(ValueError, match="prime bound"):
         is_rough(value, bound)
-
-
-def test_primes_up_to_and_the_bound_range():
-    assert primes_up_to(0) == primes_up_to(1) == ()
-    assert primes_up_to(2) == (2,)
-    assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    assert primes_up_to(MAX_GROUP_N) == tuple(_sieve(MAX_GROUP_N))
-    assert primes_up_to(MAX_GROUP_N)[-1] == 9973
-    for bound in (-1, MAX_GROUP_N + 1):
-        with pytest.raises(ValueError):
-            primes_up_to(bound)
-        with pytest.raises(ValueError):
-            factorize(441, bound)
 
 
 def test_is_probable_prime_matches_sieve():
@@ -229,7 +219,7 @@ def test_factorial_valuation_matches_direct_factorization():
         smooth, cofactor = factorize(math.factorial(n), n)
         assert cofactor == 1
         direct = dict(smooth)
-        for p in primes_up_to(n):
+        for p in _sieve(n):
             assert factorial_valuation(n, p) == direct[p], (n, p)
 
 

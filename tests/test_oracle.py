@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from kendallcodes import oracle, perms
+from kendallcodes import oracle
 from kendallcodes.certifier import INCONCLUSIVE, certify
 from kendallcodes.mahonian import ball_size, max_distance
 from kendallcodes.oracle import (
@@ -19,10 +19,15 @@ from kendallcodes.oracle import (
     FOUND,
     ball_census,
     inversion_histogram,
+    kendall_distance,
     search_perfect_code,
     verify_min_distance,
 )
-from kendallcodes.perms import enumerate_sn, identity, kendall_distance, reverse
+
+
+def symmetric_group(n):
+    """S_n in lexicographic order."""
+    return list(itertools.permutations(range(1, n + 1)))
 
 
 def test_histogram_golden_values():
@@ -97,14 +102,15 @@ def test_census_matches_direct_distances():
     # the identity, the reversal and random centers
     rng = random.Random(11)
     for n in range(2, 7):
-        centers = [identity(n), reverse(identity(n))]
+        identity = tuple(range(1, n + 1))
+        centers = [identity, identity[::-1]]
         for _ in range(5):
             values = list(range(1, n + 1))
             rng.shuffle(values)
             centers.append(tuple(values))
         for center in centers:
             direct = [0] * (max_distance(n) + 1)
-            for pi in enumerate_sn(n):
+            for pi in symmetric_group(n):
                 direct[kendall_distance(center, pi)] += 1
             assert inversion_histogram(n) == tuple(direct), center
             for r in (0, 1, max_distance(n) // 2):
@@ -134,7 +140,7 @@ def test_verify_min_distance():
 
 
 def test_verify_min_distance_one_is_distinctness():
-    assert verify_min_distance(tuple(enumerate_sn(4)), 1)
+    assert verify_min_distance(symmetric_group(4), 1)
     assert not verify_min_distance(((1, 2, 3), (3, 2, 1), (1, 2, 3)), 1)
     with pytest.raises(ValueError):
         verify_min_distance(((1, 2, 3), (1, 1, 3)), 1)  # still validated
@@ -164,7 +170,7 @@ def test_search_whole_group_ball_builds_no_translates():
         result = search_perfect_code(6, 15, fix_first_codeword=fix)
         elapsed = time.perf_counter() - start
         assert result.outcome == FOUND
-        assert result.code == (identity(6),)
+        assert result.code == ((1, 2, 3, 4, 5, 6),)
         assert result.nodes_explored == nodes
         assert result.note == ""
         assert elapsed < 0.5, elapsed
@@ -180,7 +186,7 @@ def test_search_radius_zero_takes_everything():
     for n in (3, 4):
         result = search_perfect_code(n, 0)
         assert result.outcome == FOUND
-        assert result.code == tuple(enumerate_sn(n))
+        assert result.code == tuple(symmetric_group(n))
         assert verify_min_distance(result.code, 1)
 
 
@@ -206,7 +212,7 @@ def test_search_exhausts_without_a_code():
 
 def test_translated_balls_equal_pairwise_balls():
     for n in range(2, 6):
-        perms = list(enumerate_sn(n))
+        perms = symmetric_group(n)
         distances = [[kendall_distance(pi, other) for other in perms] for pi in perms]
         for t in range(max_distance(n) + 1):
             pairwise = [
@@ -228,13 +234,12 @@ def test_search_validates_only_the_code_it_returns(monkeypatch):
     # the search enumerates its own permutations, so it checks none of
     # them; a code it finds is still validated by its distance re-check
     calls = []
-    real = perms.check_permutation
+    real = oracle.check_permutation
 
     def counted(pi):
         calls.append(pi)
         return real(pi)
 
-    monkeypatch.setattr(perms, "check_permutation", counted)
     monkeypatch.setattr(oracle, "check_permutation", counted)
     assert search_perfect_code(6, 1).outcome == EXHAUSTED_NONE
     assert calls == []
@@ -268,7 +273,7 @@ def test_search_found_codes_partition_the_group():
         result = search_perfect_code(n, t)
         assert result.outcome == FOUND
         ball = ball_census(n, t)
-        assert len(result.code) * ball == len(list(enumerate_sn(n)))
+        assert len(result.code) * ball == math.factorial(n)
         assert verify_min_distance(result.code, 2 * t + 1)
 
 
@@ -324,9 +329,9 @@ def test_search_order_is_pinned():
             # lexicographic order tries the identity first even when it is free
             assert len(codes) == 1, (n, t)
             if (n, t) == (6, 7):
-                # the antipodal code: d(pi, e) + d(pi, reverse(e)) = 15 for
+                # the antipodal code: d(pi, e) + d(pi, reversed e) = 15 for
                 # every pi, so the radius-7 balls of e and its reversal split S_6
-                assert codes == {(identity(6), reverse(identity(6)))}
+                assert codes == {((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1))}
 
 
 def test_search_settles_radius_1_in_s7_past_the_cap(monkeypatch):

@@ -1,4 +1,4 @@
-"""Group arithmetic, checked against definition-level oracles.
+"""Permutations and the Kendall distance, checked against definition-level oracles.
 
 The oracles recompute everything from scratch: inversions by a direct
 pair scan, distance by the defining count of oppositely ordered value
@@ -12,18 +12,8 @@ from collections import deque
 
 import pytest
 
-from kendallcodes import perms
-from kendallcodes.oracle import verify_min_distance
-from kendallcodes.perms import (
-    check_permutation,
-    compose,
-    enumerate_sn,
-    identity,
-    inverse,
-    kendall_distance,
-    kendall_weight,
-    reverse,
-)
+from kendallcodes import oracle
+from kendallcodes.oracle import check_permutation, kendall_distance, verify_min_distance
 
 
 def pair_scan_weight(pi):
@@ -75,36 +65,29 @@ def random_permutation(rng, n):
 
 
 def test_docstring_examples():
-    failures, _ = doctest.testmod(perms)
+    failures, _ = doctest.testmod(oracle)
     assert failures == 0
 
 
-def test_identity():
-    assert identity(1) == (1,)
-    assert identity(4) == (1, 2, 3, 4)
-    assert kendall_weight(identity(7)) == 0
-
-
 def test_size_caps():
-    with pytest.raises(ValueError):
-        identity(0)
-    # arithmetic is O(n log n) and uncapped; only enumeration is capped
-    assert kendall_weight(reverse(identity(100))) == 4950
-    assert kendall_weight(tuple(range(1, 21))) == 0
+    with pytest.raises(ValueError, match="at least 1"):
+        kendall_distance((), ())
+    # the distance is O(n log n) and uncapped
+    identity = tuple(range(1, 101))
+    assert kendall_distance(identity, identity[::-1]) == 4950
+    assert kendall_distance(identity[:20], identity[:20]) == 0
 
 
 def test_rejects_non_permutations():
     for bad in [(1, 1), (2, 3), (0, 1), (1, 2, 4)]:
-        with pytest.raises(ValueError):
-            kendall_weight(bad)
+        with pytest.raises(ValueError, match="not a permutation"):
+            kendall_distance(bad, bad)
+    with pytest.raises(ValueError, match="size mismatch"):
+        kendall_distance((1, 2), (1, 3, 2))
 
 
 NOT_INTS = [(1.0, 2.0), (2.0, 1.0), (True, 2), (2, True), (1, 2.0)]
 CALLS = {
-    "compose_first": lambda bad: compose(bad, (1, 2)),
-    "compose_second": lambda bad: compose((2, 1), bad),
-    "inverse": lambda bad: inverse(bad),
-    "kendall_weight": lambda bad: kendall_weight(bad),
     "kendall_distance_first": lambda bad: kendall_distance(bad, (1, 2)),
     "kendall_distance_second": lambda bad: kendall_distance((1, 2), bad),
     "verify_min_distance_1": lambda bad: verify_min_distance((bad, (2, 1)), 1),
@@ -118,69 +101,6 @@ def test_entries_must_be_ints(call, bad):
     # floats and bools compare equal to 1 and 2, but are no permutation entries
     with pytest.raises(ValueError, match="not a permutation"):
         call(bad)
-
-
-def test_compose_worked_example():
-    # first argument applied first: position 1 goes through pi then sigma
-    assert compose((2, 1, 3), (1, 3, 2)) == (3, 1, 2)
-
-
-def test_compose_identity_and_inverse_laws():
-    rng = random.Random(11)
-    for n in [1, 2, 5, 9]:
-        for _ in range(20):
-            pi = random_permutation(rng, n)
-            assert compose(pi, identity(n)) == pi
-            assert compose(identity(n), pi) == pi
-            assert compose(pi, inverse(pi)) == identity(n)
-            assert compose(inverse(pi), pi) == identity(n)
-
-
-def test_compose_is_associative():
-    rng = random.Random(12)
-    for _ in range(50):
-        n = rng.randint(2, 8)
-        a, b, c = (random_permutation(rng, n) for _ in range(3))
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-
-def test_compose_size_mismatch():
-    with pytest.raises(ValueError):
-        compose((1, 2), (1, 3, 2))
-
-
-def test_inverse():
-    assert inverse((2, 3, 1)) == (3, 1, 2)
-    rng = random.Random(13)
-    for _ in range(30):
-        pi = random_permutation(rng, rng.randint(1, 10))
-        assert inverse(inverse(pi)) == pi
-        assert kendall_weight(inverse(pi)) == kendall_weight(pi)
-
-
-def test_reverse():
-    assert reverse((2, 1, 3)) == (3, 1, 2)
-    assert reverse(reverse((4, 1, 3, 2))) == (4, 1, 3, 2)
-
-
-def test_weight_examples():
-    assert kendall_weight((1, 2, 3)) == 0
-    assert kendall_weight((4, 3, 2, 1)) == 6
-    assert kendall_weight((3, 1, 2)) == 2
-
-
-def test_weight_matches_pair_scan_exhaustively():
-    for n in range(1, 7):
-        for pi in itertools.permutations(range(1, n + 1)):
-            assert kendall_weight(pi) == pair_scan_weight(pi)
-
-
-def test_weight_range():
-    rng = random.Random(14)
-    for _ in range(100):
-        n = rng.randint(1, 12)
-        pi = random_permutation(rng, n)
-        assert 0 <= kendall_weight(pi) <= n * (n - 1) // 2
 
 
 def test_distance_worked_example():
@@ -205,7 +125,7 @@ def test_distance_validates_each_argument_once(monkeypatch):
         checked.append(tuple(pi))
         return check_permutation(pi)
 
-    monkeypatch.setattr(perms, "check_permutation", counting_check)
+    monkeypatch.setattr(oracle, "check_permutation", counting_check)
     assert kendall_distance((2, 3, 1), (3, 1, 2)) == 2
     assert checked == [(2, 3, 1), (3, 1, 2)]
 
@@ -221,10 +141,12 @@ def test_distance_matches_bfs_exhaustively():
 
 
 def test_distance_equals_weight_against_identity():
-    for n in range(1, 6):
-        for pi in itertools.permutations(range(1, n + 1)):
-            assert kendall_distance(identity(n), pi) == kendall_weight(pi)
-            assert kendall_distance(pi, identity(n)) == kendall_weight(pi)
+    # the merge count against the pair scan, on every permutation up to n = 6
+    for n in range(1, 7):
+        identity = tuple(range(1, n + 1))
+        for pi in itertools.permutations(identity):
+            assert kendall_distance(identity, pi) == pair_scan_weight(pi)
+            assert kendall_distance(pi, identity) == pair_scan_weight(pi)
 
 
 def test_metric_axioms_exhaustive_small():
@@ -256,9 +178,10 @@ def test_distance_invariant_under_common_right_factor():
     for _ in range(200):
         n = rng.randint(2, 9)
         sigma, pi, tau = (random_permutation(rng, n) for _ in range(3))
-        assert kendall_distance(compose(sigma, tau), compose(pi, tau)) == kendall_distance(
-            sigma, pi
-        )
+        # relabel the values of both through tau
+        shifted_sigma = tuple(tau[v - 1] for v in sigma)
+        shifted_pi = tuple(tau[v - 1] for v in pi)
+        assert kendall_distance(shifted_sigma, shifted_pi) == kendall_distance(sigma, pi)
 
 
 def test_weight_plus_reversed_weight_is_constant():
@@ -266,14 +189,16 @@ def test_weight_plus_reversed_weight_is_constant():
     # partition the n(n-1)/2 value pairs
     for n in range(1, 7):
         top = n * (n - 1) // 2
-        for pi in itertools.permutations(range(1, n + 1)):
-            assert kendall_weight(pi) + kendall_weight(reverse(pi)) == top
+        identity = tuple(range(1, n + 1))
+        for pi in itertools.permutations(identity):
+            assert kendall_distance(identity, pi) + kendall_distance(identity, pi[::-1]) == top
     rng = random.Random(18)
     for n in range(7, 13):
         top = n * (n - 1) // 2
+        identity = tuple(range(1, n + 1))
         for _ in range(50):
             pi = random_permutation(rng, n)
-            assert kendall_weight(pi) + kendall_weight(reverse(pi)) == top
+            assert kendall_distance(identity, pi) + kendall_distance(identity, pi[::-1]) == top
 
 
 def test_adjacent_neighbors():
@@ -288,26 +213,3 @@ def test_adjacent_neighbors():
         assert len(set(neighbors)) == n - 1
         for neighbor in neighbors:
             assert kendall_distance(pi, neighbor) == 1
-
-
-def test_enumerate_sn():
-    assert list(enumerate_sn(1)) == [(1,)]
-    assert list(enumerate_sn(3)) == [
-        (1, 2, 3),
-        (1, 3, 2),
-        (2, 1, 3),
-        (2, 3, 1),
-        (3, 1, 2),
-        (3, 2, 1),
-    ]
-    stream = enumerate_sn(8)
-    assert next(stream) == (1, 2, 3, 4, 5, 6, 7, 8)  # lazy and lexicographic
-    assert sum(1 for _ in stream) == 40320 - 1
-
-
-def test_enumerate_sn_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        enumerate_sn(0)
-    with pytest.raises(ValueError):
-        enumerate_sn(11)
-
