@@ -23,6 +23,11 @@ def pair_scan_weight(pi):
     )
 
 
+def kendall_weight(pi):
+    """The Kendall weight: the distance from the identity, by the merge count."""
+    return kendall_distance(tuple(range(1, len(pi) + 1)), pi)
+
+
 def discordant_pairs(sigma, pi):
     """Distance by the defining count of value pairs the two order oppositely."""
     n = len(sigma)
@@ -88,6 +93,7 @@ def test_rejects_non_permutations():
 
 NOT_INTS = [(1.0, 2.0), (2.0, 1.0), (True, 2), (2, True), (1, 2.0)]
 CALLS = {
+    "kendall_weight": lambda bad: kendall_weight(bad),
     "kendall_distance_first": lambda bad: kendall_distance(bad, (1, 2)),
     "kendall_distance_second": lambda bad: kendall_distance((1, 2), bad),
     "verify_min_distance_1": lambda bad: verify_min_distance((bad, (2, 1)), 1),
@@ -101,6 +107,26 @@ def test_entries_must_be_ints(call, bad):
     # floats and bools compare equal to 1 and 2, but are no permutation entries
     with pytest.raises(ValueError, match="not a permutation"):
         call(bad)
+
+
+def test_weight_examples():
+    assert kendall_weight((1, 2, 3)) == 0
+    assert kendall_weight((4, 3, 2, 1)) == 6
+    assert kendall_weight((3, 1, 2)) == 2
+
+
+def test_weight_matches_pair_scan_exhaustively():
+    for n in range(1, 7):
+        for pi in itertools.permutations(range(1, n + 1)):
+            assert kendall_weight(pi) == pair_scan_weight(pi)
+
+
+def test_weight_range():
+    rng = random.Random(14)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        pi = random_permutation(rng, n)
+        assert 0 <= kendall_weight(pi) <= n * (n - 1) // 2
 
 
 def test_distance_worked_example():
@@ -141,11 +167,11 @@ def test_distance_matches_bfs_exhaustively():
 
 
 def test_distance_equals_weight_against_identity():
-    # the merge count against the pair scan, on every permutation up to n = 6
+    # with the identity second, on every permutation up to n = 6;
+    # test_weight_matches_pair_scan_exhaustively has it first
     for n in range(1, 7):
         identity = tuple(range(1, n + 1))
         for pi in itertools.permutations(identity):
-            assert kendall_distance(identity, pi) == pair_scan_weight(pi)
             assert kendall_distance(pi, identity) == pair_scan_weight(pi)
 
 
