@@ -165,15 +165,14 @@ def test_search_whole_group_ball():
 
 def test_search_whole_group_ball_builds_no_translates():
     # at t >= D one ball is S_n; building its n! translates took seconds
-    for fix, nodes in ((True, 1), (False, 2)):
-        start = time.perf_counter()
-        result = search_perfect_code(6, 15, fix_first_codeword=fix)
-        elapsed = time.perf_counter() - start
-        assert result.outcome == FOUND
-        assert result.code == ((1, 2, 3, 4, 5, 6),)
-        assert result.nodes_explored == nodes
-        assert result.note == ""
-        assert elapsed < 0.5, elapsed
+    start = time.perf_counter()
+    result = search_perfect_code(6, 15)
+    elapsed = time.perf_counter() - start
+    assert result.outcome == FOUND
+    assert result.code == ((1, 2, 3, 4, 5, 6),)
+    assert result.nodes_explored == 1
+    assert result.note == ""
+    assert elapsed < 0.5, elapsed
 
 
 def test_search_whole_group_code_is_rechecked(monkeypatch):
@@ -254,13 +253,6 @@ def test_search_is_deterministic():
     assert first == second
 
 
-def test_search_symmetry_reduction_is_safe():
-    fixed = search_perfect_code(4, 1)
-    free = search_perfect_code(4, 1, fix_first_codeword=False)
-    assert fixed.outcome == free.outcome == EXHAUSTED_NONE
-    assert free == search_perfect_code(4, 1, fix_first_codeword=False)
-
-
 def test_search_divisibility_precheck():
     result = search_perfect_code(5, 2)
     assert result.outcome == EXHAUSTED_NONE
@@ -286,52 +278,48 @@ def test_search_rejects_bad_arguments():
         search_perfect_code(4, -1)
 
 
-# (n, t): outcome, nodes with the identity fixed first, nodes without, code
-# size.  Every other radius up to the diameter fails the divisibility check,
-# so this is every (n, t) the search serves.  None visits more than 1 039
-# nodes, which is why the search has no node budget.
+# (n, t): outcome, nodes, code size.  Every other radius up to the
+# diameter fails the divisibility check, so this is every (n, t) the search
+# serves.  None visits more than 720 nodes, which is why the search has no
+# node budget.
 SEARCH_GOLDEN = {
-    (2, 0): (FOUND, 2, 3, 2),
-    (2, 1): (FOUND, 1, 2, 1),
-    (3, 0): (FOUND, 6, 7, 6),
-    (3, 1): (FOUND, 2, 3, 2),
-    (3, 3): (FOUND, 1, 2, 1),
-    (4, 0): (FOUND, 24, 25, 24),
-    (4, 1): (EXHAUSTED_NONE, 4, 17, None),
-    (4, 6): (FOUND, 1, 2, 1),
-    (5, 0): (FOUND, 120, 121, 120),
-    (5, 1): (EXHAUSTED_NONE, 14, 65, None),
-    (5, 10): (FOUND, 1, 2, 1),
-    (6, 0): (FOUND, 720, 721, 720),
-    (6, 1): (EXHAUSTED_NONE, 160, 1039, None),
-    (6, 2): (EXHAUSTED_NONE, 22, 508, None),
-    (6, 7): (FOUND, 2, 3, 2),
-    (6, 15): (FOUND, 1, 2, 1),
+    (2, 0): (FOUND, 2, 2),
+    (2, 1): (FOUND, 1, 1),
+    (3, 0): (FOUND, 6, 6),
+    (3, 1): (FOUND, 2, 2),
+    (3, 3): (FOUND, 1, 1),
+    (4, 0): (FOUND, 24, 24),
+    (4, 1): (EXHAUSTED_NONE, 4, None),
+    (4, 6): (FOUND, 1, 1),
+    (5, 0): (FOUND, 120, 120),
+    (5, 1): (EXHAUSTED_NONE, 14, None),
+    (5, 10): (FOUND, 1, 1),
+    (6, 0): (FOUND, 720, 720),
+    (6, 1): (EXHAUSTED_NONE, 160, None),
+    (6, 2): (EXHAUSTED_NONE, 22, None),
+    (6, 7): (FOUND, 2, 2),
+    (6, 15): (FOUND, 1, 1),
 }
 
 
 def test_search_order_is_pinned():
     # fail-first with its tie-break fixes every node count and code size
-    assert max(max(fixed, free) for _, fixed, free, _ in SEARCH_GOLDEN.values()) == 1039
+    assert max(nodes for _, nodes, _ in SEARCH_GOLDEN.values()) == 720
     for n in range(2, 7):
         for t in range(max_distance(n) + 1):
-            golden = SEARCH_GOLDEN.get((n, t), (EXHAUSTED_NONE, 0, 0, None))
-            outcome, fixed, free, size = golden
-            codes = set()
-            for fix, nodes in ((True, fixed), (False, free)):
-                result = search_perfect_code(n, t, fix_first_codeword=fix)
-                found = None if result.code is None else len(result.code)
-                assert result.outcome == outcome, (n, t, fix)
-                assert result.nodes_explored == nodes, (n, t, fix)
-                assert found == size, (n, t, fix)
-                assert ("does not divide" in result.note) == (nodes == 0), (n, t)
-                codes.add(result.code)
-            # lexicographic order tries the identity first even when it is free
-            assert len(codes) == 1, (n, t)
+            outcome, nodes, size = SEARCH_GOLDEN.get((n, t), (EXHAUSTED_NONE, 0, None))
+            result = search_perfect_code(n, t)
+            found = None if result.code is None else len(result.code)
+            assert result.outcome == outcome, (n, t)
+            assert result.nodes_explored == nodes, (n, t)
+            assert found == size, (n, t)
+            assert ("does not divide" in result.note) == (nodes == 0), (n, t)
+            if found is not None:
+                assert result.code[0] == tuple(range(1, n + 1)), (n, t)
             if (n, t) == (6, 7):
                 # the antipodal code: d(pi, e) + d(pi, reversed e) = 15 for
                 # every pi, so the radius-7 balls of e and its reversal split S_6
-                assert codes == {((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1))}
+                assert result.code == ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1))
 
 
 def test_search_settles_radius_1_in_s7_past_the_cap(monkeypatch):

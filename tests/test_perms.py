@@ -24,7 +24,7 @@ def pair_scan_weight(pi):
 
 
 def kendall_weight(pi):
-    """The Kendall weight: the distance from the identity, by the merge count."""
+    """The Kendall weight: the distance from the identity."""
     return kendall_distance(tuple(range(1, len(pi) + 1)), pi)
 
 
@@ -77,10 +77,16 @@ def test_docstring_examples():
 def test_size_caps():
     with pytest.raises(ValueError, match="at least 1"):
         kendall_distance((), ())
-    # the distance is O(n log n) and uncapped
+    # the distance has no size cap; binary insertion still takes a
+    # fraction of a second at n = 10 000
     identity = tuple(range(1, 101))
     assert kendall_distance(identity, identity[::-1]) == 4950
     assert kendall_distance(identity[:20], identity[:20]) == 0
+    identity = tuple(range(1, 10_001))
+    assert kendall_distance(identity, identity[::-1]) == 49_995_000
+    rng = random.Random(20)
+    sigma, pi = random_permutation(rng, 500), random_permutation(rng, 500)
+    assert kendall_distance(sigma, pi) == discordant_pairs(sigma, pi)
 
 
 def test_rejects_non_permutations():
