@@ -62,7 +62,7 @@ from .oracle import (
     verify_min_distance,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"
 
 __all__ = [
     "Certificate",

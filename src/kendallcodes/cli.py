@@ -179,6 +179,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # against the serving engine
     balls = [mahonian.ball_count(n, r) for r in range(mahonian.max_distance(n) + 1)]
     report("ball census matches ball_count at all r", list(accumulate(histogram)) == balls)
+    # n <= 5 only: perfbench/workloads.verify_checks counts these PASS lines
+    # for the `oracle` workload's verify --n 2..8, so searching (6, 1) here
+    # as well waits for a change to the benchmark
     if n <= oracle.MAX_SEARCH_N - 1:
         found = oracle.search_perfect_code(n, 1).outcome == oracle.FOUND
         consistent = not (found and certifier.certify(n, 1).verdict != certifier.INCONCLUSIVE)

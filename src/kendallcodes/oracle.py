@@ -14,9 +14,12 @@ quadratic in n, but it beats a merge sort below n of about 35 000.
 
 One streaming kernel, ``inversion_histogram(n)``, counts the inversions
 of every permutation of [n]; ``ball_census`` sums a prefix of it.  It
-walks S_n by plain changes (Knuth's Algorithm P, TAOCP 7.2.1.2), where
-each step swaps one adjacent pair, so comparing that pair moves the
-running inversion count by exactly one.  S_n is never materialised.
+walks S_n by plain changes, where each step swaps one adjacent pair, so
+comparing that pair moves the running inversion count by exactly one.
+The walk follows the recursive definition (Steinhaus-Johnson-Trotter;
+TAOCP 7.2.1.2): the largest item sweeps across the others while they
+stay put, and between its sweeps the others take one plain change of
+their own.  S_n is never materialised.
 
 The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
 radius-t balls, since a perfect code is a set of centers whose balls
@@ -123,26 +126,23 @@ def _plain_changes(n: int) -> Iterator[int]:
 
     Starting from the identity, the 0-based positions k of the n! - 1
     swaps of entries k and k + 1 visit every permutation of n items once.
-    This is Knuth's Algorithm P (TAOCP 7.2.1.2), which finds each swap from
-    its counters alone, so the caller keeps the only copy of the array.
+    By the recursive definition (Steinhaus-Johnson-Trotter), the largest
+    item sweeps across the others, leftward and then rightward in turn,
+    and between two sweeps the others take one step of the walk of
+    S_(n-1).  The caller keeps the only copy of the array; the generators
+    nest n deep.
     """
-    # c[j] of the items below j lie to its right; o[j] is +1 while item j
-    # moves left and -1 while it moves right
-    c = [0] * (n + 1)
-    o = [1] * (n + 1)
-    while True:
-        # the largest item that can still move in its direction moves;
-        # s counts the larger items parked left of all smaller ones
-        j, s = n, 0
-        while (q := c[j] + o[j]) < 0 or q == j:
-            if q == j:
-                if j == 1:
-                    return
-                s += 1
-            o[j] = -o[j]
-            j -= 1
-        yield j + s - max(c[j], q) - 1
-        c[j] = q
+    if n < 2:
+        return
+    leftward, rightward = range(n - 2, -1, -1), range(n - 1)
+    yield from leftward
+    for step, k in enumerate(_plain_changes(n - 1)):
+        if step % 2:  # the largest item is back at the right end
+            yield k
+            yield from leftward
+        else:  # the largest item is at the left end, the others right of it
+            yield k + 1
+            yield from rightward
 
 
 def inversion_histogram(n: int) -> tuple[int, ...]:
@@ -282,19 +282,14 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
         if sum(left > right for left, right in itertools.combinations(pi, 2)) <= t
     ]
     order = factorial(n)
+    note = ""
     if order % len(ball):
-        return CodeSearchResult(
-            n=n,
-            t=t,
-            outcome=EXHAUSTED_NONE,
-            code=None,
-            nodes_explored=0,
-            note=(
-                f"ball size {len(ball)} does not divide |S_{n}| = {order}; "
-                "balls cannot partition the group"
-            ),
+        outcome, centers, nodes = EXHAUSTED_NONE, [], 0
+        note = (
+            f"ball size {len(ball)} does not divide |S_{n}| = {order}; "
+            "balls cannot partition the group"
         )
-    if len(ball) == order:
+    elif len(ball) == order:
         # one ball is all of S_n, so the identity alone is a perfect code:
         # the search's first node would find it after building n! identical
         # translates
@@ -310,5 +305,5 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
         ):
             raise AssertionError("search produced a code that is not perfect")
     return CodeSearchResult(
-        n=n, t=t, outcome=outcome, code=solution, nodes_explored=nodes
+        n=n, t=t, outcome=outcome, code=solution, nodes_explored=nodes, note=note
     )

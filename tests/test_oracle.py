@@ -72,6 +72,11 @@ def test_plain_changes_visit_each_permutation_once_by_adjacent_swaps():
             steps += 1
         assert steps == math.factorial(n) - 1, n
         assert len(seen) == math.factorial(n), n
+    # the order too, as Knuth's Algorithm P (TAOCP 7.2.1.2) produces it
+    assert list(oracle._plain_changes(3)) == [1, 0, 1, 0, 1]
+    assert list(oracle._plain_changes(4)) == [
+        2, 1, 0, 2, 0, 1, 2, 0, 2, 1, 0, 2, 0, 1, 2, 0, 2, 1, 0, 2, 0, 1, 2,
+    ]
 
 
 def test_histogram_rejects_out_of_range():
