@@ -156,7 +156,10 @@ def inversion_histogram(n: int) -> tuple[int, ...]:
     identity's distance distribution.
     """
     if not 2 <= n <= MAX_HISTOGRAM_N:
-        raise ValueError(f"histogram supports 2 <= n <= {MAX_HISTOGRAM_N}, got {n}")
+        raise ValueError(
+            "the distance histogram enumerates all of S_n and supports"
+            f" 2 <= n <= {MAX_HISTOGRAM_N}, got {n}"
+        )
     counts = [0] * (math.comb(n, 2) + 1)
     counts[0] = 1  # the identity, where the walk starts
     pi = list(range(n))

@@ -27,6 +27,7 @@ from kendallcodes.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 from kendallcodes.mahonian import MAX_TABLE_N, ball_count, sphere_size
@@ -404,9 +405,17 @@ def test_verify_checks_the_censuses_against_the_ball_engine(capsys, monkeypatch)
 
 
 def test_verify_rejects_large_groups(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "11")
-    assert code == EXIT_VALIDATION
-    assert err.startswith("error:")
+    # the histogram's own range check refuses n before verify prints a line
+    code, out, err = run_cli(capsys, "verify", "--n", "11")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error:") and "2 <= n <= 10, got 11" in err
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_verify_rejects_groups_below_two(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--n", str(n))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error:") and f"2 <= n <= 10, got {n}" in err
 
 
 @pytest.mark.parametrize(
@@ -483,3 +492,13 @@ def test_repeated_calls_print_identical_bytes(capsys):
     with pytest.raises(SystemExit):
         main(["sphere", "--n", "5"])
     assert capsys.readouterr() == failed
+
+
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
+
+
+def test_table_options_take_argparse_names():
+    args = build_parser().parse_args(["table", "--max-n", "5", "--max-r", "2"])
+    assert (args.max_n, args.max_r) == (5, 2)
+    assert build_parser().parse_args(["table", "--max-n", "5"]).max_r is None

@@ -180,6 +180,15 @@ def test_search_whole_group_ball_builds_no_translates():
     assert elapsed < 0.5, elapsed
 
 
+def test_search_whole_group_ball_never_translates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("translated the whole-group ball")
+
+    monkeypatch.setattr(oracle, "_translated_balls", refuse)
+    result = search_perfect_code(6, 15)
+    assert (result.outcome, result.nodes_explored) == (FOUND, 1)
+
+
 def test_search_whole_group_code_is_rechecked(monkeypatch):
     monkeypatch.setattr(oracle, "verify_min_distance", lambda code, d: False)
     with pytest.raises(AssertionError, match="not perfect"):
@@ -202,6 +211,20 @@ def test_search_radius_zero_rechecks_by_distinctness():
     assert result.outcome == FOUND
     assert len(result.code) == 720 and result.nodes_explored == 720
     assert elapsed < 0.5, elapsed
+
+
+def test_search_radius_zero_measures_no_distance(monkeypatch):
+    calls = 0
+
+    def counted(sigma, pi):
+        nonlocal calls
+        calls += 1
+        return kendall_distance(sigma, pi)
+
+    monkeypatch.setattr(oracle, "kendall_distance", counted)
+    result = search_perfect_code(6, 0)
+    assert (result.outcome, len(result.code)) == (FOUND, 720)
+    assert calls == 0
 
 
 def test_search_exhausts_without_a_code():
