@@ -62,7 +62,7 @@ from .oracle import (
     verify_min_distance,
 )
 
-__version__ = "0.11.2"
+__version__ = "0.11.3"
 
 __all__ = [
     "Certificate",

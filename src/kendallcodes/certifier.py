@@ -56,9 +56,12 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 
-# The min(n, r) * r steps of ball_count at the diameter of S_128, the most
-# work any served ball takes: about 0.11 s at every edge of the bound, and
-# 0.23 s for certify plus check_certificate (2 vCPUs, Python 3.11).
+# A ceiling on min(n, r) * r with r = min(t, D), at its value for the
+# diameter of S_128; it keeps the served range where 0.11.x put it.  Past
+# r = n it counts ball_count's product steps, about 0.1 s at the edges
+# (128, 8128), (200, 5201) and (1019, 1020).  For r <= n, where ball_count
+# sums O(sqrt(r)) binomials, it caps r at 1019, and so bounds the ball's
+# digits (1,474 at n = 10000) and the cost of its n-smooth split.
 MAX_BALL_WORK = 128 * max_distance(128)
 
 
@@ -92,8 +95,9 @@ class Certificate:
 def _check_served(n: int, t: int) -> None:
     """Refuse a ball outside the served range, before any work on it.
 
-    ``ball_count`` takes min(n, r) * r steps for r = min(t, D); the bound
-    on that work is the most the n = 128 diameter needs.
+    The range bounds min(n, r) * r for r = min(t, D) by MAX_BALL_WORK:
+    ``ball_count``'s steps for r > n, and for r <= n a cap on r that
+    bounds the ball's digits and the cost of its split.
     """
     if not 2 <= n <= MAX_GROUP_N:
         raise ValueError(f"group size must be between 2 and {MAX_GROUP_N}, got {n}")
@@ -103,7 +107,7 @@ def _check_served(n: int, t: int) -> None:
     work = min(n, r) * r
     if work > MAX_BALL_WORK:
         raise ValueError(
-            f"radius {t} at n={n} takes {work} steps, past the bound of {MAX_BALL_WORK}"
+            f"radius {t} at n={n} gives min(n, r)*r = {work}, past the bound of {MAX_BALL_WORK}"
         )
 
 
@@ -111,8 +115,9 @@ def ball_value(n: int, t: int) -> int:
     """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the served range.
 
     That range is 2 <= n <= MAX_GROUP_N, t >= 0 and min(n, r) * r <=
-    MAX_BALL_WORK with r = min(t, D); radii beyond the diameter D clamp
-    to the whole group.
+    MAX_BALL_WORK with r = min(t, D), a bound on the ball's digits and
+    on the work of making and splitting it; radii beyond the diameter D
+    clamp to the whole group.
     """
     _check_served(n, t)
     return ball_count(n, t)
@@ -145,10 +150,10 @@ def certify(n: int, t: int) -> Certificate:
 def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
     """One certificate per n in [n_from, n_to], in order, each made as it is consumed.
 
-    Range problems are rejected at the call, before any work.  The work on
-    a ball, min(n, r) * r with r = min(t, D(n)), never decreases as n
-    grows, so the range is served when (n_to, t) is, and no certificate
-    of an accepted range is refused partway through.
+    Range problems are rejected at the call, before any work.  The bounded
+    measure of a ball, min(n, r) * r with r = min(t, D(n)), never
+    decreases as n grows, so the range is served when (n_to, t) is, and
+    no certificate of an accepted range is refused partway through.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")

@@ -14,9 +14,12 @@ table is built by the one-step recurrence
 implemented with running prefix sums, which covers every (n, i) uniformly.
 Single ball sizes come from :func:`ball_count`, which builds no table: the
 generating function of the balls is prod_{k<=n} (1 - q^k) / (1 - q)^(n+1),
-so B(n, r) is a short sum of binomials weighted by the coefficients of
-Euler's product (Knuth, TAOCP vol. 3, section 5.1.1).  Two independent
-piecewise recursions (`sphere_size_small_radius` for radii below n,
+so B(n, r) is a sum of binomials weighted by the coefficients of Euler's
+product (Knuth, TAOCP vol. 3, section 5.1.1).  For r <= n those are the
+pentagonal signs of Euler's theorem, so the sum has O(sqrt(r)) terms;
+past r = n they are expanded from the truncated product in O(n * r)
+integer steps.  Two independent piecewise recursions
+(`sphere_size_small_radius` for radii below n,
 `sphere_size_large_radius` for radii from n up to the midpoint) and
 degree-bounded closed forms for radii up to 5 re-derive the same numbers
 by other routes; they are kept as results of the paper and as test
@@ -235,18 +238,32 @@ def ball_count(n: int, r: int) -> int:
         B(n, r) = sum over j in 0..r of a_j * C(n + r - j, n),
 
     because dividing the Mahonian generating function prod (1 - q^k) /
-    (1 - q)^n by one more (1 - q) turns spheres into balls.  Only the
-    factors k <= min(n, r) reach q^r, so the cost is O(min(n, r) * r)
-    integer steps plus r + 1 binomial updates.  For r <= n the a_j
-    are Euler's pentagonal signs.
+    (1 - q)^n by one more (1 - q) turns spheres into balls.
+
+    For r <= n (after the clamp) the a_j up to r are those of Euler's
+    infinite product: (-1)^k at the generalized pentagonal numbers
+    j = k(3k -+ 1)/2 and 0 elsewhere.  The sum then has about
+    2 * sqrt(2r/3) + 1 terms, each one ``math.comb``.  For r > n the
+    coefficients are expanded from the factors k <= n in O(n * r)
+    integer steps, and the sum walks r + 1 binomials.
     """
     if n < 1:
         raise ValueError(f"group size must be at least 1, got {n}")
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     r = min(r, max_distance(n))
+    if r <= n:
+        total = math.comb(n + r, n)
+        k = 1
+        while (j := k * (3 * k - 1) // 2) <= r:
+            term = math.comb(n + r - j, n)
+            if j + k <= r:  # the pentagonal partner k(3k + 1)/2
+                term += math.comb(n + r - j - k, n)
+            total += -term if k % 2 else term
+            k += 1
+        return total
     coeffs = [1] + [0] * r
-    for k in range(1, min(n, r) + 1):
+    for k in range(1, n + 1):
         for j in range(r, k - 1, -1):  # multiply by (1 - q^k) in place
             coeffs[j] -= coeffs[j - k]
     total = 0

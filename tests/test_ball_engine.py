@@ -1,13 +1,17 @@
 """The table-free ball engine at its boundaries, and the paths that use it.
 
-The coefficients of Euler's product stop being pentagonal signs past
-r = n, and the radius clamps at the diameter D; both edges are pinned
-against the recurrence table.  Certificates and their re-checks must not
-build a table at all.  The served balls end at a fixed bound on the work,
-min(n, r) * r steps, pinned from both sides.
+The engine sums Euler's pentagonal terms for r <= n and expands the
+truncated product past r = n, and the radius clamps at the diameter D;
+both edges are pinned against the recurrence table, and the pentagonal
+sum against the product's coefficient loop, kept here as a reference.
+Certificates and their re-checks must not build a table at all.  The
+served balls end at a fixed bound on min(n, r) * r, pinned from both
+sides.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kendallcodes import certifier, mahonian
 from kendallcodes.certifier import (
@@ -40,6 +44,51 @@ def test_exhaustive_for_small_groups(table60):
             assert ball_count(n, r) == ball_size(table60, n, r).value, (n, r)
 
 
+def product_ball_count(n, r):
+    """B(n, r) from every coefficient of prod_{k<=min(n, r)} (1 - q^k), in O(min(n, r) * r) steps."""
+    r = min(r, max_distance(n))
+    coeffs = [1] + [0] * r
+    for k in range(1, min(n, r) + 1):
+        for j in range(r, k - 1, -1):  # multiply by (1 - q^k) in place
+            coeffs[j] -= coeffs[j - k]
+    total = 0
+    binom = 1  # C(n + m, n) for m = r - j, walking j down from r
+    for m in range(r + 1):
+        total += coeffs[r - m] * binom
+        binom = binom * (n + m + 1) // (m + 1)
+    return total
+
+
+def test_pentagonal_sum_matches_the_product_for_every_small_group():
+    for n in range(1, 61):
+        for r in range(n + 1):
+            assert ball_count(n, r) == product_ball_count(n, r), (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(10000, 1019), (1019, 1019), (500, 300)])
+def test_pentagonal_sum_matches_the_product_at_its_edges(n, r):
+    assert ball_count(n, r) == product_ball_count(n, r)
+
+
+@pytest.mark.parametrize("n", [128, 1019])
+def test_both_routes_agree_across_r_equal_n(n):
+    for r in (n - 1, n, n + 1):
+        assert ball_count(n, r) == product_ball_count(n, r), r
+
+
+@st.composite
+def pentagonal_case(draw):
+    n = draw(st.integers(min_value=2, max_value=10000))
+    return n, draw(st.integers(min_value=0, max_value=min(n, 1019)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pentagonal_case())
+def test_pentagonal_sum_matches_the_product(case):
+    n, r = case
+    assert ball_count(n, r) == product_ball_count(n, r)
+
+
 def test_trivial_group_and_bad_arguments():
     assert ball_count(1, 0) == 1
     assert ball_count(1, 7) == 1
@@ -49,7 +98,7 @@ def test_trivial_group_and_bad_arguments():
         ball_count(5, -1)
 
 
-# min(n, r) * r for r = min(t, D): the steps ball_count takes
+# min(n, r) * r for r = min(t, D), the measure MAX_BALL_WORK bounds
 EDGES_WITHIN = [(128, max_distance(128)), (129, 6), (200, 5201), (1019, 1020), (10000, 1019)]
 EDGES_PAST = [(10000, 1020), (10000, 1021), (1019, 1021), (200, 5202)]
 

@@ -187,7 +187,7 @@ def test_scan_validates_arguments():
     with pytest.raises(ValueError):
         scan(-1, 2, 5)
     with pytest.raises(ValueError):
-        scan(1020, 9999, 10000)  # 1020^2 steps at n=10000, past the work bound
+        scan(1020, 9999, 10000)  # min(n, r) * r = 1020^2 at n=10000, past the work bound
 
 
 def test_verdicts_match_factorial_residues():
