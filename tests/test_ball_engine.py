@@ -45,7 +45,7 @@ def test_exhaustive_for_small_groups(table60):
 
 
 def product_ball_count(n, r):
-    """B(n, r) from every coefficient of prod_{k<=min(n, r)} (1 - q^k), in O(min(n, r) * r) steps."""
+    """B(n, r) from every coefficient of prod_{k<=min(n, r)} (1 - q^k): the product route."""
     r = min(r, max_distance(n))
     coeffs = [1] + [0] * r
     for k in range(1, min(n, r) + 1):
