@@ -15,7 +15,9 @@ primality and factorial divisibility without n! (``math.factorial``
 serves the few places that need n! itself), and ``oracle`` brute-force
 ground truth for small n: the Kendall distance between permutations in
 one-line notation, distance histograms of S_n and an exhaustive
-perfect-code search.
+perfect-code search.  ``oracle`` is imported the first time one of its
+names is read from the package, so a process that never asks for it
+never loads it.
 """
 
 from .certifier import (
@@ -53,16 +55,28 @@ from .numtheory import (
     format_factorization,
     is_probable_prime,
 )
-from .oracle import (
-    CodeSearchResult,
-    ball_census,
-    inversion_histogram,
-    kendall_distance,
-    search_perfect_code,
-    verify_min_distance,
+
+# oracle's brute force serves only cross-checks, so it loads on first use
+# (PEP 562); `from kendallcodes import *` resolves these through __getattr__
+_ORACLE_EXPORTS = (
+    "CodeSearchResult",
+    "ball_census",
+    "inversion_histogram",
+    "kendall_distance",
+    "search_perfect_code",
+    "verify_min_distance",
 )
 
-__version__ = "0.11.3"
+
+def __getattr__(name: str):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__version__ = "0.12.0"
 
 __all__ = [
     "Certificate",

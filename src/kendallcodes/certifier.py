@@ -29,9 +29,8 @@ diffable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distance
 
@@ -65,14 +64,14 @@ VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 MAX_BALL_WORK = 128 * max_distance(128)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Self-contained divisibility verdict for one (n, t) pair.
 
     ``factorization`` is the n-smooth part of the ball.  ``witness`` is
     the n-rough cofactor for NONEXISTENT_PRIME_FACTOR and the offending
     prime for NONEXISTENT_NOT_DIVIDING, whose ``witness_exponents`` are
-    its exponents in the ball and in n!.
+    its exponents in the ball and in n!.  A named tuple: immutable, and
+    equal to the plain tuple of its seven fields.
     """
 
     n: int
@@ -83,8 +82,9 @@ class Certificate:
     witness: Optional[int] = None
     witness_exponents: Optional[tuple[int, int]] = None
     # Always False: every ball splits completely, so no certificate rests on
-    # partial evidence.  Kept readable for the benchmark's tracer.
-    degraded: ClassVar[bool] = False
+    # partial evidence.  Kept readable for the benchmark's tracer; without
+    # an annotation it is a class attribute, not an eighth field.
+    degraded = False
 
     @property
     def cofactor(self) -> Optional[int]:

@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
-from . import certifier, mahonian, oracle
+from . import certifier, mahonian
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -153,6 +153,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: no other subcommand needs the brute force, and a
+    # one-shot process should not pay for loading it
+    from . import oracle
+
     n = args.n
     failures = 0
 

@@ -42,16 +42,14 @@ itself has no limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import sub
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 MAX_TABLE_N = 256
 
 
-@dataclass(frozen=True)
-class SphereTable:
+class SphereTable(NamedTuple):
     """Rows of inversion counts for group sizes 2..max_n, immutable once built."""
 
     max_n: int
@@ -63,8 +61,7 @@ class SphereTable:
         return self.rows[n - 2]
 
 
-@dataclass(frozen=True)
-class BallSize:
+class BallSize(NamedTuple):
     """Number of permutations within distance r of any fixed center in S_n."""
 
     n: int

@@ -50,9 +50,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_HISTOGRAM_N = 10
 MAX_SEARCH_N = 6
@@ -103,8 +102,7 @@ def kendall_distance(sigma: Sequence[int], pi: Sequence[int]) -> int:
     return inversions
 
 
-@dataclass(frozen=True)
-class CodeSearchResult:
+class CodeSearchResult(NamedTuple):
     """Outcome of an exhaustive perfect-code search.
 
     ``code`` is populated only for FOUND.  ``nodes_explored`` counts every

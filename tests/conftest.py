@@ -2,6 +2,9 @@ import pytest
 
 from kendallcodes import build_table
 
+# the pytester fixture runs sub-sessions for tests of the suite's own configuration
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(scope="session")
 def table150():

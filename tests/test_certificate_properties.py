@@ -10,7 +10,6 @@ replaced, are parsed: the parser raises only ValueError and prints back
 every line it accepts.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -69,22 +68,22 @@ def with_exponent_verdicts(test):
 
 
 def single_field_mutations(cert):
-    replace = dataclasses.replace
+    replace = cert._replace
     for delta in (1, -1):
-        yield replace(cert, ball=cert.ball + delta)
+        yield replace(ball=cert.ball + delta)
         if cert.witness is not None:
-            yield replace(cert, witness=cert.witness + delta)
+            yield replace(witness=cert.witness + delta)
         if cert.witness_exponents is not None:
             in_ball, allowed = cert.witness_exponents
-            yield replace(cert, witness_exponents=(in_ball + delta, allowed))
-            yield replace(cert, witness_exponents=(in_ball, allowed + delta))
+            yield replace(witness_exponents=(in_ball + delta, allowed))
+            yield replace(witness_exponents=(in_ball, allowed + delta))
     for verdict in VERDICTS:
         if verdict != cert.verdict:
-            yield replace(cert, verdict=verdict)
+            yield replace(verdict=verdict)
     smooth = cert.factorization
     for i, (p, e) in enumerate(smooth):
-        yield replace(cert, factorization=smooth[:i] + ((p, e + 1),) + smooth[i + 1 :])
-        yield replace(cert, factorization=smooth[:i] + smooth[i + 1 :])
+        yield replace(factorization=smooth[:i] + ((p, e + 1),) + smooth[i + 1 :])
+        yield replace(factorization=smooth[:i] + smooth[i + 1 :])
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,7 +123,7 @@ SHAPES = st.recursive(
     lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=8,
 )
-FIELDS = [field.name for field in dataclasses.fields(Certificate)]
+FIELDS = list(Certificate._fields)
 
 
 def exactly(a, b):
@@ -143,7 +142,7 @@ def made_by_certify(cert):
         genuine = certify(cert.n, cert.t)
     except ValueError:
         return False
-    return exactly(dataclasses.astuple(cert), dataclasses.astuple(genuine))
+    return exactly(tuple(cert), tuple(genuine))
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,7 +151,7 @@ def made_by_certify(cert):
 @example((13, 3), {})
 @given(group_and_radius(), st.dictionaries(st.sampled_from(FIELDS), SHAPES, max_size=3))
 def test_checker_never_raises_and_accepts_only_what_certify_makes(case, changes):
-    forged = dataclasses.replace(certify(*case), **changes)
+    forged = certify(*case)._replace(**changes)
     assert check_certificate(forged) == made_by_certify(forged)
 
 

@@ -4,7 +4,6 @@ The checker is adversarial: every tampered certificate in the suite must
 be rejected, and every certificate the certifier emits must pass.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -13,6 +12,7 @@ from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
     NONEXISTENT_PRIME_FACTOR,
+    RECORD_FIELDS,
     Certificate,
     ball_value,
     certify,
@@ -236,23 +236,23 @@ def test_ball_value_routes():
 
 def test_checker_rejects_tampered_witness():
     base = certify(13, 3)
-    assert not check_certificate(dataclasses.replace(base, witness=11))
-    assert not check_certificate(dataclasses.replace(base, witness=3))  # fits in 13!
-    assert not check_certificate(dataclasses.replace(base, witness=None))
+    assert not check_certificate(base._replace(witness=11))
+    assert not check_certificate(base._replace(witness=3))  # fits in 13!
+    assert not check_certificate(base._replace(witness=None))
     assert not check_certificate(
-        dataclasses.replace(base, witness_exponents=(1, 2))
+        base._replace(witness_exponents=(1, 2))
     )
     assert not check_certificate(
-        dataclasses.replace(base, witness_exponents=None)
+        base._replace(witness_exponents=None)
     )
 
     prime = certify(5, 2)  # ball 14 = 2 * 7, cofactor 7
-    assert not check_certificate(dataclasses.replace(prime, witness=14))
-    assert not check_certificate(dataclasses.replace(prime, witness=None))
-    assert not check_certificate(dataclasses.replace(prime, witness_exponents=(1, 0)))
+    assert not check_certificate(prime._replace(witness=14))
+    assert not check_certificate(prime._replace(witness=None))
+    assert not check_certificate(prime._replace(witness_exponents=(1, 0)))
     # a cofactor with a prime factor <= n is not n-rough
     assert not check_certificate(
-        dataclasses.replace(prime, factorization=(), witness=14)
+        prime._replace(factorization=(), witness=14)
     )
     # a prime cofactor that is not above n
     assert not check_certificate(
@@ -265,66 +265,63 @@ def test_checker_rejects_tampered_witness():
 
 def test_checker_rejects_tampered_ball_and_factors():
     base = certify(13, 3)
-    assert not check_certificate(dataclasses.replace(base, ball=442))
+    assert not check_certificate(base._replace(ball=442))
     assert not check_certificate(
-        dataclasses.replace(base, factorization=((3, 2), (7, 1)))
+        base._replace(factorization=((3, 2), (7, 1)))
     )
     assert not check_certificate(
-        dataclasses.replace(base, factorization=((9, 1), (7, 2)))
+        base._replace(factorization=((9, 1), (7, 2)))
     )
     assert not check_certificate(
-        dataclasses.replace(base, factorization=((7, 2), (3, 2)))
+        base._replace(factorization=((7, 2), (3, 2)))
     )
-    assert not check_certificate(dataclasses.replace(base, factorization=()))
+    assert not check_certificate(base._replace(factorization=()))
     # an exponent far past the ball is refused before p**e is built
     assert not check_certificate(
-        dataclasses.replace(base, factorization=((3, 10**12), (7, 2)))
+        base._replace(factorization=((3, 10**12), (7, 2)))
     )
     # a smooth prime above n belongs in the cofactor
     prime = certify(5, 2)
     assert not check_certificate(
-        dataclasses.replace(prime, factorization=((2, 1), (7, 1)), witness=1)
+        prime._replace(factorization=((2, 1), (7, 1)), witness=1)
     )
 
 
 def test_checker_rejects_forged_verdicts():
     base = certify(13, 3)
-    assert not check_certificate(dataclasses.replace(base, verdict="RULED_OUT"))
+    assert not check_certificate(base._replace(verdict="RULED_OUT"))
     assert not check_certificate(
-        dataclasses.replace(base, verdict=NONEXISTENT_PRIME_FACTOR)
+        base._replace(verdict=NONEXISTENT_PRIME_FACTOR)
     )
-    forged = dataclasses.replace(
-        base, verdict=INCONCLUSIVE, witness=None, witness_exponents=None
-    )
+    forged = base._replace(verdict=INCONCLUSIVE, witness=None, witness_exponents=None)
     assert not check_certificate(forged)
 
     prime_base = certify(5, 2)
-    assert not check_certificate(dataclasses.replace(prime_base, witness=11))
-    assert not check_certificate(dataclasses.replace(prime_base, witness=2))
-    downgraded = dataclasses.replace(
-        prime_base,
+    assert not check_certificate(prime_base._replace(witness=11))
+    assert not check_certificate(prime_base._replace(witness=2))
+    downgraded = prime_base._replace(
         verdict=NONEXISTENT_NOT_DIVIDING,
         witness=7,
         witness_exponents=(1, 0),
     )
     assert not check_certificate(downgraded)  # stronger verdict was skipped
     assert not check_certificate(
-        dataclasses.replace(prime_base, verdict=INCONCLUSIVE, witness=None)
+        prime_base._replace(verdict=INCONCLUSIVE, witness=None)
     )
 
     inconclusive = certify(4, 6)
-    assert not check_certificate(dataclasses.replace(inconclusive, witness=3))
+    assert not check_certificate(inconclusive._replace(witness=3))
     assert not check_certificate(
-        dataclasses.replace(inconclusive, witness_exponents=(1, 1))
+        inconclusive._replace(witness_exponents=(1, 1))
     )
     assert not check_certificate(
-        dataclasses.replace(inconclusive, verdict=NONEXISTENT_PRIME_FACTOR)
+        inconclusive._replace(verdict=NONEXISTENT_PRIME_FACTOR)
     )
 
     # 1715 = 5 * 7^3: the prime 5 fits inside 13! and witnesses nothing
     exponent = certify(13, 4)
     assert not check_certificate(
-        dataclasses.replace(exponent, witness=5, witness_exponents=(1, 2))
+        exponent._replace(witness=5, witness_exponents=(1, 2))
     )
 
 
@@ -338,7 +335,7 @@ def test_checker_rejects_underived_witness_free_claims():
         verdict=NONEXISTENT_NOT_DIVIDING,
     )
     assert not check_certificate(fake)  # 7 divides 7!, and no witness is named
-    assert check_certificate(dataclasses.replace(fake, verdict=INCONCLUSIVE))
+    assert check_certificate(fake._replace(verdict=INCONCLUSIVE))
 
 
 @pytest.mark.parametrize(
@@ -359,8 +356,7 @@ def test_checker_rejects_a_smooth_prime_moved_into_the_cofactor(n, t, p, where):
     primes = [q for q in range(2, n + 1) if is_probable_prime(q)]
     full_blocks_end = len(primes) // BLOCK_SIZE * BLOCK_SIZE
     assert ("full block" if primes.index(p) < full_blocks_end else "tail") == where
-    forged = dataclasses.replace(
-        cert,
+    forged = cert._replace(
         factorization=tuple(pair for pair in cert.factorization if pair[0] != p),
         witness=cert.witness * p,
     )
@@ -386,7 +382,7 @@ def test_checker_accepts_only_int_fields(n, t, field, value):
     # each value equals the int it stands for; the checker neither raises nor accepts
     cert = certify(n, t)
     assert check_certificate(cert)
-    assert check_certificate(dataclasses.replace(cert, **{field: value})) is False
+    assert check_certificate(cert._replace(**{field: value})) is False
 
 
 @pytest.mark.parametrize(
@@ -401,7 +397,7 @@ def test_checker_accepts_only_int_fields(n, t, field, value):
 )
 def test_checker_rejects_malformed_shapes(field, value):
     cert = certify(13, 3)
-    assert check_certificate(dataclasses.replace(cert, **{field: value})) is False
+    assert check_certificate(cert._replace(**{field: value})) is False
 
 
 def test_checker_rejects_records_past_the_work_bound():
@@ -409,15 +405,15 @@ def test_checker_rejects_records_past_the_work_bound():
     cert = certify(10000, 1019)
     assert check_certificate(cert)
     for t in (1020, 1021, 10**100):
-        assert not check_certificate(dataclasses.replace(cert, t=t)), t
-    assert not check_certificate(dataclasses.replace(cert, n=200, t=max_distance(200)))
+        assert not check_certificate(cert._replace(t=t)), t
+    assert not check_certificate(cert._replace(n=200, t=max_distance(200)))
 
 
 def test_checker_rejects_records_outside_the_served_ranges():
     base = certify(13, 3)
-    assert not check_certificate(dataclasses.replace(base, n=1))
-    assert not check_certificate(dataclasses.replace(base, n=MAX_GROUP_N + 1))
-    assert not check_certificate(dataclasses.replace(base, t=-1))
+    assert not check_certificate(base._replace(n=1))
+    assert not check_certificate(base._replace(n=MAX_GROUP_N + 1))
+    assert not check_certificate(base._replace(t=-1))
 
 
 # --- serialization -----------------------------------------------------------
@@ -461,6 +457,23 @@ def test_record_roundtrip():
         assert parse_certificate(line + "\n") == cert
         with pytest.raises(ValueError):
             parse_certificate(line + "\n\n")
+
+
+def test_certificate_is_an_immutable_named_tuple():
+    cert = certify(13, 3)
+    assert repr(cert) == (
+        "Certificate(n=13, t=3, ball=441, factorization=((3, 2), (7, 2)),"
+        " verdict='NONEXISTENT_NOT_DIVIDING', witness=7, witness_exponents=(2, 1))"
+    )
+    with pytest.raises(AttributeError):
+        cert.witness = 3
+    # degraded is read by the benchmark's tracer but is not part of a record
+    assert Certificate._fields == RECORD_FIELDS
+    assert "degraded" not in Certificate._fields and Certificate.degraded is False
+    values = (13, 3, 441, ((3, 2), (7, 2)), NONEXISTENT_NOT_DIVIDING, 7, (2, 1))
+    assert len(cert) == 7 and cert == values
+    n, t, *_ = cert
+    assert (n, t) == (13, 3)
 
 
 def test_parse_certificate_rejects_malformed_lines():
@@ -531,7 +544,7 @@ def test_witness_factor_families():
     assert witness_factor_families(certify(5, 106)) == []
     assert witness_factor_families(certify(5, 5)) == ["n^3+3n^2-6n-28"]  # ball 71
     # at n = 4 the radius-5 factors multiply to 11 * 4 * 60 / 5!, not B(4, 5)
-    assert witness_factor_families(dataclasses.replace(certify(4, 5), witness=5)) == []
+    assert witness_factor_families(certify(4, 5)._replace(witness=5)) == []
 
 
 def test_format_certificate_pretty():
