@@ -17,44 +17,14 @@ ground truth for small n: the Kendall distance between permutations in
 one-line notation, distance histograms of S_n and an exhaustive
 perfect-code search.  ``oracle`` is imported the first time one of its
 names is read from the package, so a process that never asks for it
-never loads it.
+never loads it.  The package exports the ``__all__`` of ``certifier``,
+``mahonian`` and ``numtheory``, then the six names of ``oracle``.
 """
 
-from .certifier import (
-    Certificate,
-    INCONCLUSIVE,
-    NONEXISTENT_NOT_DIVIDING,
-    NONEXISTENT_PRIME_FACTOR,
-    ball_value,
-    certify,
-    check_certificate,
-    format_certificate,
-    format_certificate_pretty,
-    parse_certificate,
-    scan,
-)
-from .mahonian import (
-    BallSize,
-    SphereTable,
-    ball_closed_form,
-    ball_count,
-    ball_size,
-    build_table,
-    max_distance,
-    sphere_closed_form,
-    sphere_size,
-    sphere_size_large_radius,
-    sphere_size_small_radius,
-    table_tsv_lines,
-)
-from .numtheory import (
-    Factorization,
-    divides_factorial,
-    factorial_valuation,
-    factorize,
-    format_factorization,
-    is_probable_prime,
-)
+from . import certifier, mahonian, numtheory
+from .certifier import *  # noqa: F403
+from .mahonian import *  # noqa: F403
+from .numtheory import *  # noqa: F403
 
 # oracle's brute force serves only cross-checks, so it loads on first use
 # (PEP 562); `from kendallcodes import *` resolves these through __getattr__
@@ -76,42 +46,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
-__all__ = [
-    "Certificate",
-    "INCONCLUSIVE",
-    "NONEXISTENT_NOT_DIVIDING",
-    "NONEXISTENT_PRIME_FACTOR",
-    "ball_value",
-    "certify",
-    "check_certificate",
-    "format_certificate",
-    "format_certificate_pretty",
-    "parse_certificate",
-    "scan",
-    "BallSize",
-    "SphereTable",
-    "ball_closed_form",
-    "ball_count",
-    "ball_size",
-    "build_table",
-    "max_distance",
-    "sphere_closed_form",
-    "sphere_size",
-    "sphere_size_large_radius",
-    "sphere_size_small_radius",
-    "table_tsv_lines",
-    "Factorization",
-    "divides_factorial",
-    "factorial_valuation",
-    "factorize",
-    "format_factorization",
-    "is_probable_prime",
-    "CodeSearchResult",
-    "ball_census",
-    "inversion_histogram",
-    "kendall_distance",
-    "search_perfect_code",
-    "verify_min_distance",
-]
+__all__ = [*certifier.__all__, *mahonian.__all__, *numtheory.__all__, *_ORACLE_EXPORTS]

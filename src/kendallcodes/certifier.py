@@ -34,7 +34,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distance
 
-# Not used here: the benchmark's per-layer tracer wraps these names at this site.
+# Not used here: the benchmark's per-layer tracer wraps these names at this
+# site, so they stay importable from here but are in no __all__.
 from math import factorial  # noqa: F401
 from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
 from .numtheory import divides_factorial  # noqa: F401
@@ -48,6 +49,20 @@ from .numtheory import (
     is_rough,
     parse_factorization,
 )
+
+__all__ = [
+    "Certificate",
+    "INCONCLUSIVE",
+    "NONEXISTENT_NOT_DIVIDING",
+    "NONEXISTENT_PRIME_FACTOR",
+    "ball_value",
+    "certify",
+    "check_certificate",
+    "format_certificate",
+    "format_certificate_pretty",
+    "parse_certificate",
+    "scan",
+]
 
 NONEXISTENT_PRIME_FACTOR = "NONEXISTENT_PRIME_FACTOR"
 NONEXISTENT_NOT_DIVIDING = "NONEXISTENT_NOT_DIVIDING"
@@ -215,38 +230,29 @@ def check_certificate(cert: Certificate) -> bool:
     return (cert.verdict, cert.witness, cert.witness_exponents) == _verdict(n, smooth, cofactor)
 
 
-RECORD_FIELDS = (
-    "n",
-    "t",
-    "ball",
-    "factorization",
-    "verdict",
-    "witness",
-    "witness_exponents",
-)
+RECORD_FIELDS = Certificate._fields
 
 
-def certificate_values(cert: Certificate) -> dict[str, str]:
-    """Field values in serialization form, keyed by RECORD_FIELDS names."""
-    return {
-        "n": str(cert.n),
-        "t": str(cert.t),
-        "ball": str(cert.ball),
-        "factorization": format_factorization(cert.factorization),
-        "verdict": cert.verdict,
-        "witness": "" if cert.witness is None else str(cert.witness),
-        "witness_exponents": (
-            ""
-            if cert.witness_exponents is None
-            else f"{cert.witness_exponents[0]},{cert.witness_exponents[1]}"
-        ),
-    }
+def certificate_values(cert: Certificate) -> tuple[str, ...]:
+    """Field values in serialization form, in RECORD_FIELDS order."""
+    n, t, ball, factorization, verdict, witness, exponents = cert
+    return (
+        str(n),
+        str(t),
+        str(ball),
+        format_factorization(factorization),
+        verdict,
+        "" if witness is None else str(witness),
+        "" if exponents is None else f"{exponents[0]},{exponents[1]}",
+    )
+
+
+_RECORD_TEMPLATE = "\t".join(f"{name}=%s" for name in RECORD_FIELDS)
 
 
 def format_certificate(cert: Certificate) -> str:
     """One tab-separated key=value record; absent fields serialize empty."""
-    values = certificate_values(cert)
-    return "\t".join(f"{name}={values[name]}" for name in RECORD_FIELDS)
+    return _RECORD_TEMPLATE % certificate_values(cert)
 
 
 def parse_certificate(line: str) -> Certificate:
@@ -258,36 +264,36 @@ def parse_certificate(line: str) -> Certificate:
     the line's terminator, is dropped; a second one is not.
     """
     line = line.removesuffix("\n")
-    fields: dict[str, str] = {}
-    names = []
+    names, values = [], []
     for part in line.split("\t"):
         name, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"malformed record field {part!r}")
         names.append(name)
-        fields[name] = value
+        values.append(value)
     if tuple(names) != RECORD_FIELDS:
         raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
-    if fields["verdict"] not in VERDICTS:
-        raise ValueError(f"unknown verdict {fields['verdict']!r}")
+    n, t, ball, factorization, verdict, witness, exponents_text = values
+    if verdict not in VERDICTS:
+        raise ValueError(f"unknown verdict {verdict!r}")
     exponents: Optional[tuple[int, int]] = None
-    if fields["witness_exponents"]:
-        first, sep, second = fields["witness_exponents"].partition(",")
+    if exponents_text:
+        first, sep, second = exponents_text.partition(",")
         if not sep:
-            raise ValueError(f"malformed exponent pair {fields['witness_exponents']!r}")
+            raise ValueError(f"malformed exponent pair {exponents_text!r}")
         exponents = (int(first), int(second))
     cert = Certificate(
-        n=int(fields["n"]),
-        t=int(fields["t"]),
-        ball=int(fields["ball"]),
-        factorization=parse_factorization(fields["factorization"]),
-        verdict=fields["verdict"],
-        witness=int(fields["witness"]) if fields["witness"] else None,
-        witness_exponents=exponents,
+        int(n),
+        int(t),
+        int(ball),
+        parse_factorization(factorization),
+        verdict,
+        int(witness) if witness else None,
+        exponents,
     )
     # int() also reads "013", "+13", "1_3" and other digits; with the names
     # in order, equal values mean format_certificate prints the line back
-    if certificate_values(cert) != fields:
+    if certificate_values(cert) != tuple(values):
         raise ValueError(f"record {line!r} is not in canonical form")
     return cert
 

@@ -121,8 +121,7 @@ def _emit_certificates(certs: Iterable[certifier.Certificate], fmt: str) -> int:
     code = EXIT_OK
     for i, cert in enumerate(certs):
         if fmt == "tsv":
-            values = certifier.certificate_values(cert)
-            print("\t".join(values[name] for name in certifier.RECORD_FIELDS))
+            print("\t".join(certifier.certificate_values(cert)))
         elif fmt == "pretty":
             # a blank line between blocks
             print(("\n" if i else "") + certifier.format_certificate_pretty(cert))

@@ -46,6 +46,21 @@ from itertools import accumulate, repeat
 from operator import sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
+__all__ = [
+    "BallSize",
+    "SphereTable",
+    "ball_closed_form",
+    "ball_count",
+    "ball_size",
+    "build_table",
+    "max_distance",
+    "sphere_closed_form",
+    "sphere_size",
+    "sphere_size_large_radius",
+    "sphere_size_small_radius",
+    "table_tsv_lines",
+]
+
 MAX_TABLE_N = 256
 
 

@@ -35,6 +35,15 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable
 
+__all__ = [
+    "Factorization",
+    "divides_factorial",
+    "factorial_valuation",
+    "factorize",
+    "format_factorization",
+    "is_probable_prime",
+]
+
 Factorization = tuple[tuple[int, int], ...]
 
 MAX_GROUP_N = 10_000

@@ -12,9 +12,9 @@ from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
     NONEXISTENT_PRIME_FACTOR,
-    RECORD_FIELDS,
     Certificate,
     ball_value,
+    certificate_values,
     certify,
     check_certificate,
     format_certificate,
@@ -468,12 +468,29 @@ def test_certificate_is_an_immutable_named_tuple():
     with pytest.raises(AttributeError):
         cert.witness = 3
     # degraded is read by the benchmark's tracer but is not part of a record
-    assert Certificate._fields == RECORD_FIELDS
+    assert Certificate._fields == (
+        "n",
+        "t",
+        "ball",
+        "factorization",
+        "verdict",
+        "witness",
+        "witness_exponents",
+    )
     assert "degraded" not in Certificate._fields and Certificate.degraded is False
     values = (13, 3, 441, ((3, 2), (7, 2)), NONEXISTENT_NOT_DIVIDING, 7, (2, 1))
     assert len(cert) == 7 and cert == values
     n, t, *_ = cert
     assert (n, t) == (13, 3)
+    assert certificate_values(cert) == (
+        "13",
+        "3",
+        "441",
+        "3^2 * 7^2",
+        "NONEXISTENT_NOT_DIVIDING",
+        "7",
+        "2,1",
+    )
 
 
 def test_parse_certificate_rejects_malformed_lines():

@@ -1,12 +1,16 @@
 """The package's public surface: every exported name resolves, one version."""
 
+import ast
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kendallcodes
+from kendallcodes import certifier, mahonian, numtheory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +31,34 @@ def test_star_import_resolves_every_export():
     namespace = {}
     exec("from kendallcodes import *", namespace)
     assert [name for name in kendallcodes.__all__ if name not in namespace] == []
+    assert len(set(kendallcodes.__all__)) == len(kendallcodes.__all__)
+
+
+@pytest.mark.parametrize(
+    "module", [certifier, mahonian, numtheory], ids=["certifier", "mahonian", "numtheory"]
+)
+def test_star_import_binds_exactly_the_module_surface(module):
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(module.__all__)
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_tracer_only_imports_stay_out_of_the_certifier_surface():
+    # perfbench's tracer wraps these at certifier, so they must still resolve there
+    tracer_only = ["factorial", "ball_size", "build_table", "ball_closed_form", "divides_factorial"]
+    assert all(hasattr(certifier, name) for name in tracer_only)
+    assert [name for name in tracer_only if name in certifier.__all__] == []
+
+
+def test_package_surface_is_the_module_surfaces_in_order():
+    assert kendallcodes.__all__ == [
+        *certifier.__all__,
+        *mahonian.__all__,
+        *numtheory.__all__,
+        *kendallcodes._ORACLE_EXPORTS,
+    ]
     assert len(set(kendallcodes.__all__)) == len(kendallcodes.__all__)
 
 
@@ -53,6 +85,18 @@ def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
     assert match is not None
     assert match.group(1) == kendallcodes.__version__
+
+
+def test_sources_parse_under_the_oldest_supported_python():
+    # this catches syntax newer than requires-python, such as except*, on any interpreter
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.MULTILINE)
+    assert match is not None
+    oldest = (3, int(match.group(1)))
+    paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=oldest)
 
 
 def test_public_surface_is_pinned():
