@@ -15,7 +15,9 @@ reader closed standard output early (``| head``).  All
 numeric output is exact decimal; records (format v2) are stable
 byte-for-byte for fixed inputs, so they can be diffed and archived.
 Verdicts come from the n-smooth split of the ball, which always
-completes, so no budget can leave a verdict open.
+completes, so no budget can leave a verdict open.  An argv that starts
+with a subcommand's name is parsed by that subcommand's parser alone,
+with the same result, messages and exit codes as the full parser.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import functools
 import os
 import sys
+from gettext import gettext
 from itertools import accumulate
 from math import factorial
 from typing import Iterable, Optional, Sequence
@@ -38,8 +41,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what shells report
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser unchanged, so one serves every call
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
+    # parsing leaves the parsers unchanged, so one build serves every call
     parser = argparse.ArgumentParser(
         prog="kendallcodes",
         description=(
@@ -91,7 +95,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force cross-checks for one n")
     p.add_argument("--n", type=int, required=True, help="group size (at most 10)")
     p.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's full grammar, built once per process."""
+    return _parsers()[0]
+
+
+# A call that names its subcommand first goes straight to that
+# subcommand's parser: the top-level parser's nested pass over the same
+# tokens cost more than the certificate the call prints.  The full parser
+# stays the single grammar; the subcommand parsers are its own, and every
+# other argv (empty, -h, --, an unknown command) is parsed by it whole.
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def cmd_sphere(args: argparse.Namespace) -> int:
@@ -185,7 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -4,6 +4,8 @@ Output lines and exit codes are frozen; records printed by certify/scan
 must parse back into the exact certificates the library produces.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -11,9 +13,11 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kendallcodes
-from kendallcodes import certifier, mahonian, oracle
+from kendallcodes import certifier, cli, mahonian, oracle
 from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
@@ -36,6 +40,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_outcome(parse, argv):
+    """What parsing argv gives: the Namespace's fields or the exit code,
+    then what it printed on stdout and on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 def test_sphere_values(capsys):
@@ -466,10 +482,16 @@ def test_options_belong_to_the_subcommands_that_read_them(capsys):
         ["scan", "--t", "3", "--from", "4", "--to", "6", "--jobs", "2"],
     ]
     for argv in ignored:
+        full = parse_outcome(build_parser().parse_args, argv)
         with pytest.raises(SystemExit) as info:
             main(argv)
-        assert info.value.code == 2, argv
-        assert capsys.readouterr().out == "", argv
+        out, err = capsys.readouterr()
+        # byte for byte what the full parser prints, whatever the Python version
+        assert (info.value.code, out, err) == full, argv
+        assert (info.value.code, out) == (2, ""), argv
+        assert err.startswith("usage: kendallcodes [-h] "), argv
+        unknown = " ".join(argv[-2:])
+        assert err.endswith(f"\nkendallcodes: error: unrecognized arguments: {unknown}\n"), argv
     read = [
         ["certify", "--n", "5", "--t", "2", "--format", "tsv"],
         ["scan", "--t", "3", "--from", "4", "--to", "6", "--format", "pretty"],
@@ -501,3 +523,68 @@ def test_table_options_take_argparse_names():
     args = build_parser().parse_args(["table", "--max-n", "5", "--max-r", "2"])
     assert (args.max_n, args.max_r) == (5, 2)
     assert build_parser().parse_args(["table", "--max-n", "5"]).max_r is None
+
+
+REQUIRED = {
+    "sphere": ("--n", "--i"),
+    "ball": ("--n", "--r"),
+    "certify": ("--n", "--t"),
+    "scan": ("--t", "--from", "--to"),
+    "table": ("--max-n",),
+    "verify": ("--n",),
+}
+COMMANDS = tuple(REQUIRED)
+NUMBERS = ("5", "-3", "0")
+# every option string of every subcommand, an abbreviation, the choices,
+# numbers (one negative) and tokens no parser knows
+TOKENS = (
+    *COMMANDS,
+    *("--n", "--i", "--r", "--t", "--from", "--to", "--max-n", "--max-r", "--format"),
+    *("--fo", "--n=5", "-h", "--help", "--", "tsv", "pretty", "records"),
+    *NUMBERS,
+    *("--jobs", "x"),
+)
+ARGV = st.lists(st.sampled_from(TOKENS), max_size=8)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's required options, each with a number, and a few
+    tokens, in any order after the subcommand's name."""
+    name = draw(st.sampled_from(COMMANDS))
+    pieces = [[option, draw(st.sampled_from(NUMBERS))] for option in REQUIRED[name]]
+    pieces += [[token] for token in draw(st.lists(st.sampled_from(TOKENS), max_size=3))]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(ARGV, command_lines()))
+def test_dispatch_parses_as_the_full_parser_does(argv):
+    # parsing only: no command runs
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+def test_subcommands_skip_the_top_level_pass(monkeypatch):
+    parser = build_parser()
+    calls = []
+    full_pass = parser.parse_known_args
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return full_pass(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    for argv in (
+        ["certify", "--n", "13", "--t", "3"],
+        ["scan", "--t", "3", "--from", "4", "--to", "6"],
+        ["ball", "--n", "5", "--r", "3"],
+        ["sphere", "--n", "5", "--i", "3"],
+        ["table", "--max-n", "3"],
+        ["verify", "--n", "3"],
+    ):
+        assert main(argv) == EXIT_OK, argv
+    assert calls == []
+    for argv in ([], ["-h"], ["no-such-command"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert len(calls) == 3
