@@ -11,7 +11,7 @@ is never split further, because its primes cannot divide n! anyway.
 Large bounds reach many primes that almost never divide, so the sieve's
 primes are also grouped into blocks of `BLOCK_SIZE` consecutive primes,
 each with its product and the product of every prime through it, built
-on first use.  One gcd with a block's product tells whether any of its
+at import.  One gcd with a block's product tells whether any of its
 primes divides a value: `factorize` skips a block that shares no factor,
 and `is_rough` tests every prime below a bound with one gcd against a
 running product and trial division of at most BLOCK_SIZE - 1 leftover
@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable
 
 __all__ = [
@@ -53,8 +52,7 @@ MAX_GROUP_N = 10_000
 BLOCK_SIZE = 32
 
 
-@lru_cache(maxsize=1)
-def _sieve() -> bytes:
+def _build_sieve() -> bytes:
     """Flags indexed by 0..MAX_GROUP_N: 1 exactly at the primes."""
     sieve = bytearray([1]) * (MAX_GROUP_N + 1)
     sieve[0] = sieve[1] = 0
@@ -64,37 +62,23 @@ def _sieve() -> bytes:
     return bytes(sieve)
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    return tuple(i for i, flag in enumerate(_sieve()) if flag)
-
-
-@lru_cache(maxsize=1)
-def _block_products() -> tuple[int, ...]:
-    """The product of each full block of BLOCK_SIZE consecutive sieve primes.
-
-    Block k holds the primes at indices k * BLOCK_SIZE up to
-    (k + 1) * BLOCK_SIZE - 1; the last primes, too few for a block, are in
-    none.
-    """
-    primes = _small_primes()
-    return tuple(
-        math.prod(primes[i : i + BLOCK_SIZE])
-        for i in range(0, len(primes) - BLOCK_SIZE + 1, BLOCK_SIZE)
-    )
-
-
-@lru_cache(maxsize=1)
-def _running_products() -> tuple[int, ...]:
-    """The product of every sieve prime through each full block; about 35 KB."""
-    return tuple(accumulate(_block_products(), operator.mul))
+_SIEVE = _build_sieve()
+_PRIMES = tuple(compress(range(MAX_GROUP_N + 1), _SIEVE))
+# Block k holds _PRIMES[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE]; the last
+# primes, too few for a block, are in none.
+_BLOCK_PRODUCTS = tuple(
+    math.prod(_PRIMES[i : i + BLOCK_SIZE])
+    for i in range(0, len(_PRIMES) - BLOCK_SIZE + 1, BLOCK_SIZE)
+)
+# _RUNNING_PRODUCTS[k] is the product of the primes in the first k blocks; about 35 KB.
+_RUNNING_PRODUCTS = tuple(accumulate(_BLOCK_PRODUCTS, operator.mul, initial=1))
 
 
 def _prime_count(bound: int) -> int:
     """How many primes are <= bound, for 0 <= bound <= MAX_GROUP_N."""
     if not 0 <= bound <= MAX_GROUP_N:
         raise ValueError(f"prime bound must be between 0 and {MAX_GROUP_N}, got {bound}")
-    return bisect_right(_small_primes(), bound)
+    return bisect_right(_PRIMES, bound)
 
 
 def is_probable_prime(p: int) -> bool:
@@ -104,7 +88,7 @@ def is_probable_prime(p: int) -> bool:
     """
     if p > MAX_GROUP_N:
         raise ValueError(f"primality is decided up to {MAX_GROUP_N}, got {p}")
-    return p >= 2 and _sieve()[p] == 1
+    return p >= 2 and _SIEVE[p] == 1
 
 
 def factorize(value: int, bound: int) -> tuple[Factorization, int]:
@@ -121,20 +105,18 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     count = _prime_count(bound)
-    primes = _small_primes()
     smooth: list[tuple[int, int]] = []
     v = value
     start, stop = 0, count
-    if count >= BLOCK_SIZE:
-        for product in _block_products()[: count // BLOCK_SIZE]:
-            if primes[start] ** 2 > v:
-                # v is 1 or a prime, which trial division settles at primes[start]
-                stop = start + 1
-                break
-            if math.gcd(product, v) > 1:
-                v = _trial_divide(v, primes[start : start + BLOCK_SIZE], bound, smooth)
-            start += BLOCK_SIZE
-    v = _trial_divide(v, primes[start:stop], bound, smooth)
+    for product in _BLOCK_PRODUCTS[: count // BLOCK_SIZE]:
+        if _PRIMES[start] ** 2 > v:
+            # v is 1 or a prime, which trial division settles at _PRIMES[start]
+            stop = start + 1
+            break
+        if math.gcd(product, v) > 1:
+            v = _trial_divide(v, _PRIMES[start : start + BLOCK_SIZE], bound, smooth)
+        start += BLOCK_SIZE
+    v = _trial_divide(v, _PRIMES[start:stop], bound, smooth)
     return tuple(smooth), v
 
 
@@ -170,9 +152,9 @@ def is_rough(value: int, bound: int) -> bool:
     """
     count = _prime_count(bound)
     blocks = count // BLOCK_SIZE
-    if blocks and math.gcd(_running_products()[blocks - 1], value) > 1:
+    if math.gcd(_RUNNING_PRODUCTS[blocks], value) > 1:
         return False
-    return all(value % p for p in _small_primes()[blocks * BLOCK_SIZE : count])
+    return all(value % p for p in _PRIMES[blocks * BLOCK_SIZE : count])
 
 
 def factorial_valuation(n: int, p: int) -> int:

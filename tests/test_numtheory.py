@@ -15,6 +15,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kendallcodes.numtheory import (
+    _BLOCK_PRODUCTS,
+    _PRIMES,
+    _RUNNING_PRODUCTS,
     BLOCK_SIZE,
     MAX_GROUP_N,
     divides_factorial,
@@ -153,10 +156,25 @@ out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_GR
 @example(131 * 137, 131)
 @example(131**2, 131)
 @example(9857 * 9859, 9858)
+# the early exit settles the split with one more prime: nothing is left,
+# or a lone prime past the last full block
+@example(1, MAX_GROUP_N)
+@example(9973, MAX_GROUP_N)
+@example(2 * 9973, MAX_GROUP_N)
 def test_split_and_roughness_match_plain_trial_division(value, bound):
     smooth, cofactor = trial_division_split(value, bound)
     assert factorize(value, bound) == (smooth, cofactor)
     assert is_rough(value, bound) == (smooth == ())
+
+
+def test_tables_are_the_sieve_primes_and_their_block_products():
+    assert _PRIMES == tuple(SIEVE_PRIMES) and len(_PRIMES) == 1229
+    assert len(_BLOCK_PRODUCTS) == 38
+    for k, product in enumerate(_BLOCK_PRODUCTS):
+        assert product == math.prod(SIEVE_PRIMES[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE])
+    assert _RUNNING_PRODUCTS[0] == 1 and len(_RUNNING_PRODUCTS) == 39
+    for k, product in enumerate(_RUNNING_PRODUCTS):
+        assert product == math.prod(SIEVE_PRIMES[: k * BLOCK_SIZE])
 
 
 @given(st.integers(max_value=0), bounds)
