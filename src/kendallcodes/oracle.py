@@ -195,11 +195,6 @@ def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
     return True
 
 
-def _translate(x: Permutation, center: Permutation) -> Permutation:
-    """Relabel the values of ``x`` through ``center``, unchecked."""
-    return tuple(center[v - 1] for v in x)
-
-
 def _translated_balls(
     perms: list[Permutation], ball: list[Permutation]
 ) -> list[tuple[int, ...]]:
@@ -207,11 +202,12 @@ def _translated_balls(
 
     ``ball`` is the ball around the identity; the ball around ``c`` is its
     translate through ``c``, since relabelling values by ``c`` keeps every
-    distance.
+    distance. Relabelling is injective, so the indices are distinct.
     """
     index = {pi: i for i, pi in enumerate(perms)}
     return [
-        tuple(sorted({index[_translate(x, center)] for x in ball})) for center in perms
+        tuple(sorted(index[tuple(center[v - 1] for v in x)] for x in ball))
+        for center in perms
     ]
 
 

@@ -250,9 +250,13 @@ def test_translated_balls_equal_pairwise_balls():
 
 
 def test_found_codes_are_rechecked_by_distances(monkeypatch):
-    # a broken translation that shrinks every ball to its center makes the
-    # cover accept all of S_4 as a "code"; the distance re-check refuses it
-    monkeypatch.setattr(oracle, "_translate", lambda x, center: center)
+    # forged balls that cut S_4 into consecutive blocks of four make the cover
+    # accept the first permutation of each block as a "code" of the right
+    # size; the distance re-check refuses it
+    def blocks(perms, ball):
+        return [tuple(range(i - i % 4, i - i % 4 + 4)) for i in range(len(perms))]
+
+    monkeypatch.setattr(oracle, "_translated_balls", blocks)
     with pytest.raises(AssertionError, match="not perfect"):
         search_perfect_code(4, 1)
 
