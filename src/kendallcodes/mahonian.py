@@ -18,12 +18,13 @@ so B(n, r) is a sum of binomials weighted by the coefficients of Euler's
 product (Knuth, TAOCP vol. 3, section 5.1.1).  For r <= n those are the
 pentagonal signs of Euler's theorem, so the sum has O(sqrt(r)) terms;
 past r = n they are expanded from the truncated product in O(n * r)
-integer steps.  Two independent piecewise recursions
+integer steps.  The paper's piecewise recursions are one telescoped sum
+of window sums over smaller groups' rows, with two domains
 (`sphere_size_small_radius` for radii below n,
-`sphere_size_large_radius` for radii from n up to the midpoint) and
-degree-bounded closed forms for radii up to 5 re-derive the same numbers
-by other routes; they are kept as results of the paper and as test
-oracles for the table and for ``ball_count``.
+`sphere_size_large_radius` for radii from n up to the midpoint), and the
+sphere closed forms for radii up to 5 are differences of the ball forms.
+Both re-derive the same numbers by other routes; they are kept as results
+of the paper and as test oracles for the table and for ``ball_count``.
 
 :func:`rows` runs the recurrence one row at a time, holding only the
 previous row, and cuts each row at a radius limit when it is given: entry
@@ -130,25 +131,29 @@ def sphere_size(table: SphereTable, n: int, i: int) -> int:
     return row[i]
 
 
-def _pivot(i: int) -> int:
-    """Smallest group size t >= 4 whose maximum inversion count reaches i.
+def _telescoped(table: SphereTable, n: int, i: int) -> int:
+    """S(n, i) = S(t, t(t-1)/2 - i) + sum over t <= l < n of W(l, i).
 
-    The piecewise recursions anchor at this t, the group size where radius
-    i first becomes feasible: t(t-1)/2 >= i > (t-1)(t-2)/2.
+    W(l, i), the sum of S(l, j) over max(0, i - l) <= j < i, is what the
+    one-step recurrence adds from row l to row l + 1; t >= 4 is the pivot,
+    the smallest group size in which radius i is feasible.
     """
     t = 4
     while max_distance(t) < i:
         t += 1
-    return t
+    total = sphere_size(table, t, max_distance(t) - i)
+    for l in range(t, n):
+        total += sum(table.row(l)[max(0, i - l) : i])
+    return total
 
 
 def sphere_size_small_radius(table: SphereTable, n: int, i: int) -> int:
     """Rebuild S(n, i) for radii 4 <= i <= n - 1 from smaller groups' rows.
 
-    Anchors at the pivot group t (where radius i is first feasible) with
-    the mirrored entry S(t, t(t-1)/2 - i), then adds, for each intermediate
-    group size, the window of entries that survive appending the next
-    largest element.  Sums over an empty index range contribute 0.
+    The paper's form: the pivot group t's mirrored entry S(t, t(t-1)/2 - i),
+    plus, for each group size l from t to n - 1, the window of entries that
+    survive appending the next largest element, S(l, j) for
+    max(0, i - l) <= j < i.
 
     Independent of the one-step recurrence row for n itself, so it serves
     as a cross-check of the table.
@@ -159,21 +164,16 @@ def sphere_size_small_radius(table: SphereTable, n: int, i: int) -> int:
         raise ValueError(f"radius must satisfy 4 <= i <= n - 1 = {n - 1}, got {i}")
     if table.max_n < n - 1:
         raise ValueError(f"needs table rows up to {n - 1}, table stops at {table.max_n}")
-    t = _pivot(i)
-    total = sphere_size(table, t, max_distance(t) - i)
-    for l in range(t, i):
-        total += sum(sphere_size(table, l, j) for j in range(i - l, i))
-    for l in range(i, n):
-        total += sum(sphere_size(table, l, j) for j in range(0, i))
-    return total
+    return _telescoped(table, n, i)
 
 
 def sphere_size_large_radius(table: SphereTable, n: int, i: int) -> int:
     """Rebuild S(n, i) for radii n <= i <= floor(n(n-1)/4) from smaller groups' rows.
 
-    Same anchoring as :func:`sphere_size_small_radius`, but radii of at
-    least the group size overcount, and the overshoot is subtracted as the
-    window sums for group sizes n..i-1.  The subtrahend is empty at i = n.
+    The paper's form anchors as :func:`sphere_size_small_radius` does, adds
+    the windows for group sizes t..i-1 and subtracts those for n..i-1 (none
+    at i = n).  Each subtracted window is one of the added ones, so the
+    overshoot cancels term by term and only the rows t..n-1 are read.
     """
     if n < 5:
         raise ValueError(f"defined for group sizes n >= 5, got {n}")
@@ -181,15 +181,9 @@ def sphere_size_large_radius(table: SphereTable, n: int, i: int) -> int:
         raise ValueError(
             f"radius must satisfy n <= i <= {max_distance(n) // 2}, got {i}"
         )
-    if table.max_n < i - 1:
-        raise ValueError(f"needs table rows up to {i - 1}, table stops at {table.max_n}")
-    t = _pivot(i)
-    total = sphere_size(table, t, max_distance(t) - i)
-    for l in range(t, i):
-        total += sum(sphere_size(table, l, j) for j in range(i - l, i))
-    for l in range(n, i):
-        total -= sum(sphere_size(table, l, j) for j in range(i - l, i))
-    return total
+    if table.max_n < n - 1:
+        raise ValueError(f"needs table rows up to {n - 1}, table stops at {table.max_n}")
+    return _telescoped(table, n, i)
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -207,25 +201,15 @@ SPHERE_FORM_MIN_N = {0: 1, 1: 1, 2: 3, 3: 3, 4: 4, 5: 5}
 def sphere_closed_form(n: int, i: int) -> int:
     """S(n, i) for radii up to 5 as a polynomial in n, O(1) for any n.
 
-    Each polynomial is stated with a validity threshold on n; below it the
-    polynomial does not count anything meaningful, so the call is rejected
-    rather than silently extrapolated.  All divisions are exact.
+    B(n, i) - B(n, i - 1) from :func:`ball_closed_form`.  Below each radius's
+    threshold on n the polynomial counts nothing meaningful, so the call is
+    rejected rather than silently extrapolated.
     """
     if i not in SPHERE_FORM_MIN_N:
         raise ValueError(f"closed forms cover radii 0..5, got {i}")
     if n < SPHERE_FORM_MIN_N[i]:
         raise ValueError(f"radius {i} closed form needs n >= {SPHERE_FORM_MIN_N[i]}, got {n}")
-    if i == 0:
-        return 1
-    if i == 1:
-        return n - 1
-    if i == 2:
-        return _exact_div(n * (n - 1), 2) - 1
-    if i == 3:
-        return _exact_div(n**3 - 7 * n, 6)
-    if i == 4:
-        return _exact_div(n * (n + 1) * (n**2 + n - 14), 24)
-    return _exact_div((n - 1) * (n**4 + 6 * n**3 - 9 * n**2 - 74 * n - 120), 120)
+    return ball_closed_form(n, i) - (ball_closed_form(n, i - 1) if i else 0)
 
 
 def ball_size(table: SphereTable, n: int, r: int) -> BallSize:

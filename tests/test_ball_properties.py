@@ -7,13 +7,10 @@ differences of consecutive balls), and n! at the diameter.
 
 import math
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from kendallcodes.mahonian import (  # noqa: E402
+from kendallcodes.mahonian import (
     BALL_FORM_MIN_N,
     ball_closed_form,
     ball_count,
@@ -52,10 +49,10 @@ def test_differences_match_small_radius_recursion(table60, data):
 
 @settings(deadline=None)
 @given(st.data())
-def test_differences_match_large_radius_recursion(table150, data):
+def test_differences_match_large_radius_recursion(table60, data):
     n = data.draw(st.integers(min_value=5, max_value=60))
-    i = data.draw(st.integers(min_value=n, max_value=min(max_distance(n) // 2, 151)))
-    assert ball_count(n, i) - ball_count(n, i - 1) == sphere_size_large_radius(table150, n, i)
+    i = data.draw(st.integers(min_value=n, max_value=max_distance(n) // 2))
+    assert ball_count(n, i) - ball_count(n, i - 1) == sphere_size_large_radius(table60, n, i)
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,13 +12,10 @@ every line it accepts.
 
 import math
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from kendallcodes.certifier import (  # noqa: E402
+from kendallcodes.certifier import (
     MAX_BALL_WORK,
     RECORD_FIELDS,
     Certificate,
@@ -28,8 +25,8 @@ from kendallcodes.certifier import (  # noqa: E402
     format_certificate,
     parse_certificate,
 )
-from kendallcodes.mahonian import max_distance  # noqa: E402
-from kendallcodes.numtheory import MAX_GROUP_N  # noqa: E402
+from kendallcodes.mahonian import max_distance
+from kendallcodes.numtheory import MAX_GROUP_N
 
 
 @st.composite

@@ -161,7 +161,7 @@ def test_scan_radius_5_prime_family():
             assert cert.ball % (n + 7) == 0, n
 
 
-def test_scan_beyond_closed_forms_uses_shared_table():
+def test_scan_at_radius_7_past_the_closed_forms():
     certs = list(scan(7, 2, 6))
     assert [c.n for c in certs] == [2, 3, 4, 5, 6]
     by_n = {c.n: c for c in certs}

@@ -123,7 +123,7 @@ def test_large_radius_recursion_range_checks(table150):
     with pytest.raises(ValueError):
         sphere_size_large_radius(small, 5, 8)  # wrong range and table anyway
     with pytest.raises(ValueError):
-        sphere_size_large_radius(small, 7, 9)  # needs rows past the table end
+        sphere_size_large_radius(build_table(5), 7, 9)  # needs row 6
 
 
 def test_large_radius_recursion_matches_table_everywhere(table150):
@@ -133,13 +133,21 @@ def test_large_radius_recursion_matches_table_everywhere(table150):
             assert sphere_size_large_radius(table150, n, i) == sphere_size(
                 table150, n, i
             ), (n, i)
-    # larger groups: spot-check radii up to the rows the shared table holds
+    # larger groups: spot-check radii, the last one past the table's final row
     for n in (25, 40, 60):
         for i in (n, n + 7, table150.max_n + 1):
             if i <= max_distance(n) // 2:
                 assert sphere_size_large_radius(table150, n, i) == sphere_size(
                     table150, n, i
                 ), (n, i)
+
+
+def test_large_radius_recursion_reads_rows_below_n_only(table60):
+    # the overshoot windows cancel, so rows up to n - 1 suffice at every radius
+    for n in range(5, 31):
+        table = build_table(n - 1)
+        for i in range(n, max_distance(n) // 2 + 1):
+            assert sphere_size_large_radius(table, n, i) == table60.row(n)[i], (n, i)
 
 
 def test_piecewise_routes_cover_all_radii(table150):

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
