@@ -23,13 +23,16 @@ derives from that split.
 
 Certificates serialize to one flat key=value record per line with a fixed
 field order (record format v2), so scan output is byte-stable and
-diffable.
+diffable.  A record line is read back only in that one canonical byte
+form, which one regular expression of the whole line states field by
+field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import chain
+import re
 from typing import Iterator, NamedTuple, Optional
 
 from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distance
@@ -38,15 +41,15 @@ from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distan
 # site, so they stay importable from here but are in no __all__.
 from math import factorial  # noqa: F401
 from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
-from .numtheory import divides_factorial  # noqa: F401
+from .numtheory import divides_factorial, factorial_valuation  # noqa: F401
 from .numtheory import (
     MAX_GROUP_N,
     Factorization,
-    factorial_valuation,
     factorize,
     format_factorization,
     is_probable_prime,
     is_rough,
+    legendre_exponent,
     parse_factorization,
 )
 
@@ -145,11 +148,13 @@ def _verdict(
 
     A cofactor above 1 is its own witness; otherwise the witness is the
     smallest prime dividing the smooth part more often than n!, if any.
+    The smooth primes must already be known prime (from the sieve, or
+    tested by the checker): their valuations in n! are not re-tested.
     """
     if cofactor > 1:
         return NONEXISTENT_PRIME_FACTOR, cofactor, None
     for p, in_ball in smooth:
-        allowed = factorial_valuation(n, p)
+        allowed = legendre_exponent(n, p)
         if in_ball > allowed:
             return NONEXISTENT_NOT_DIVIDING, p, (in_ball, allowed)
     return INCONCLUSIVE, None, None
@@ -181,10 +186,13 @@ def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
 def check_certificate(cert: Certificate) -> bool:
     """Recompute every claim in a certificate from (n, t); False on any mismatch.
 
-    Validates the ball value and its split: smooth primes are primes up
-    to n with exponents the ball can hold, the smooth part times the
-    cofactor is the ball, and a cofactor above 1 exceeds n and has no
-    prime factor up to min(n, sqrt(cofactor)), by
+    Validates the ball value and its split in one walk over the smooth
+    pairs: each prime is above the one before it, at most n and prime,
+    each exponent is at least 1 and at most the ball's bit length (a
+    larger power cannot divide it, so it is refused unbuilt), and the
+    same walk multiplies out the smooth part.  That part times the
+    cofactor must be the ball, and a cofactor above 1 must exceed n and
+    have no prime factor up to min(n, sqrt(cofactor)), by
     :func:`~kendallcodes.numtheory.is_rough`: one gcd with the product of
     the sieve's full blocks of primes below that bound and trial division
     by the few primes past them, not :func:`factorize`'s block skipping.
@@ -197,37 +205,39 @@ def check_certificate(cert: Certificate) -> bool:
     or a pair, and every number an exact int (a float or bool equals the
     int it stands for but prints otherwise).
     """
-    n, smooth, exponents = cert.n, cert.factorization, cert.witness_exponents
-    if type(smooth) is not tuple:
+    n, t, claimed, smooth, verdict, witness, exponents = cert
+    if type(n) is not int or type(t) is not int or type(claimed) is not int:
         return False
-    pairs = smooth if exponents is None else (*smooth, exponents)
-    if any(type(pair) is not tuple or len(pair) != 2 for pair in pairs):
+    if type(smooth) is not tuple or not (witness is None or type(witness) is int):
         return False
-    numbers = [n, cert.t, cert.ball, *chain.from_iterable(pairs)]
-    if cert.witness is not None:
-        numbers.append(cert.witness)
-    if set(map(type, numbers)) != {int}:
+    if exponents is not None and not (
+        type(exponents) is tuple and len(exponents) == 2 and all(type(e) is int for e in exponents)
+    ):
         return False
     try:
-        ball = ball_value(n, cert.t)
+        ball = ball_value(n, t)
     except ValueError:
         return False
-    if cert.ball != ball:
+    if claimed != ball:
         return False
-    primes = [p for p, _ in smooth]
-    if primes != sorted(set(primes)):
-        return False
-    # p ** e with e past the ball's bit length cannot divide it; refuse it unbuilt
-    if any(not 1 <= e <= ball.bit_length() for _, e in smooth):
-        return False
-    if any(p > n or not is_probable_prime(p) for p in primes):
-        return False
+    bits = ball.bit_length()
+    product = previous = 1
+    for pair in smooth:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        p, e = pair
+        if type(p) is not int or type(e) is not int:
+            return False
+        if not (previous < p <= n and is_probable_prime(p) and 1 <= e <= bits):
+            return False
+        product *= p**e
+        previous = p
     cofactor = cert.cofactor
-    if cofactor is None or math.prod(p**e for p, e in smooth) * cofactor != ball:
+    if cofactor is None or product * cofactor != ball:
         return False
     if cofactor > 1 and not (cofactor > n and is_rough(cofactor, min(n, math.isqrt(cofactor)))):
         return False
-    return (cert.verdict, cert.witness, cert.witness_exponents) == _verdict(n, smooth, cofactor)
+    return (verdict, witness, exponents) == _verdict(n, smooth, cofactor)
 
 
 RECORD_FIELDS = Certificate._fields
@@ -255,47 +265,63 @@ def format_certificate(cert: Certificate) -> str:
     return _RECORD_TEMPLATE % certificate_values(cert)
 
 
+# Each field's canonical text, the only one format_certificate prints for
+# it: int() also reads "013", "+13", "1_3", " 13" and non-ASCII digits,
+# which would give one certificate many byte forms.
+_INT = "0|-?[1-9][0-9]*"
+_FACTOR = r"[1-9][0-9]*\^[1-9][0-9]*"
+_FIELD_GRAMMAR = {
+    "n": _INT,
+    "t": _INT,
+    "ball": _INT,
+    "factorization": rf"1|{_FACTOR}(?: \* {_FACTOR})*",
+    "verdict": "|".join(VERDICTS),
+    "witness": f"(?:{_INT})?",
+    "witness_exponents": f"(?:(?:{_INT}),(?:{_INT}))?",
+}
+
+
+@functools.cache
+def _record_pattern() -> re.Pattern[str]:
+    """The canonical record line, compiled on first use so that importing costs nothing."""
+    fields = "\t".join(f"{name}=(?:{_FIELD_GRAMMAR[name]})" for name in RECORD_FIELDS)
+    return re.compile(fields + "\n?")
+
+
 def parse_certificate(line: str) -> Certificate:
     """Rebuild a certificate from its record line.
 
     The line must hold exactly the RECORD_FIELDS, in order, each once, and
     be the canonical record :func:`format_certificate` prints for what it
-    holds, so each certificate has one byte form.  One trailing newline,
-    the line's terminator, is dropped; a second one is not.
+    holds, so each certificate has one byte form: integers ``0`` or
+    ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` with
+    the primes ascending, one of the three verdicts, and an empty or
+    integer witness and an empty or ``a,b`` exponent pair.  One trailing
+    newline, the line's terminator, is dropped; a second one is not.
+
+    Raises ValueError naming the ``record fields`` when the names or
+    their order are wrong, and saying the record is ``not in canonical
+    form`` for any other departure from that grammar; a factorization
+    with a base below 2 or primes out of order is refused by
+    :func:`~kendallcodes.numtheory.parse_factorization`.
     """
-    line = line.removesuffix("\n")
-    names, values = [], []
-    for part in line.split("\t"):
-        name, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed record field {part!r}")
-        names.append(name)
-        values.append(value)
-    if tuple(names) != RECORD_FIELDS:
-        raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
-    n, t, ball, factorization, verdict, witness, exponents_text = values
-    if verdict not in VERDICTS:
-        raise ValueError(f"unknown verdict {verdict!r}")
-    exponents: Optional[tuple[int, int]] = None
-    if exponents_text:
-        first, sep, second = exponents_text.partition(",")
-        if not sep:
-            raise ValueError(f"malformed exponent pair {exponents_text!r}")
-        exponents = (int(first), int(second))
-    cert = Certificate(
+    if _record_pattern().fullmatch(line) is None:
+        names = [field.partition("=")[0] for field in line.removesuffix("\n").split("\t")]
+        if tuple(names) != RECORD_FIELDS:
+            raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
+        raise ValueError(f"record {line!r} is not in canonical form")
+    # the pattern leaves no "=" or tab inside a value, so every second piece is one
+    fields = line.removesuffix("\n").replace("\t", "=").split("=")
+    n, t, ball, factorization, verdict, witness, exponents = fields[1::2]
+    return Certificate(
         int(n),
         int(t),
         int(ball),
         parse_factorization(factorization),
         verdict,
         int(witness) if witness else None,
-        exponents,
+        tuple(map(int, exponents.split(","))) if exponents else None,
     )
-    # int() also reads "013", "+13", "1_3" and other digits; with the names
-    # in order, equal values mean format_certificate prints the line back
-    if certificate_values(cert) != tuple(values):
-        raise ValueError(f"record {line!r} is not in canonical form")
-    return cert
 
 
 def witness_factor_families(cert: Certificate) -> list[str]:

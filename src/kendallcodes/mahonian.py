@@ -195,7 +195,7 @@ def _exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
-SPHERE_FORM_MIN_N = {0: 1, 1: 1, 2: 3, 3: 3, 4: 4, 5: 5}
+SPHERE_FORM_MIN_N = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
 
 
 def sphere_closed_form(n: int, i: int) -> int:

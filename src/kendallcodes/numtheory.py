@@ -160,12 +160,22 @@ def is_rough(value: int, bound: int) -> bool:
 def factorial_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n!, summed as floor(n/p) + floor(n/p^2) + ...
 
-    Never computes n! itself, so n may be large.
+    Never computes n! itself, so n may be large.  Raises ValueError for
+    n < 0 and for a p that is not prime.
     """
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
     if not is_probable_prime(p):
         raise ValueError(f"valuation base must be prime, got {p}")
+    return legendre_exponent(n, p)
+
+
+def legendre_exponent(n: int, p: int) -> int:
+    """:func:`factorial_valuation` without its checks, for a p known to be prime.
+
+    The certifier's primes come from the sieve or have just been tested
+    against it, so testing them again would only repeat work.
+    """
     total = 0
     q = p
     while q <= n:
@@ -193,18 +203,21 @@ def parse_factorization(text: str) -> Factorization:
     if stripped == "1":
         return ()
     factors = []
-    for part in stripped.split("*"):
-        piece = part.strip()
+    previous, ascending = 1, True
+    # int() skips the whitespace around each base and exponent itself
+    for piece in stripped.split("*"):
         base, sep, exponent = piece.partition("^")
         if not sep:
-            raise ValueError(f"missing exponent in factor {piece!r}")
+            raise ValueError(f"missing exponent in factor {piece.strip()!r}")
         try:
             p, e = int(base), int(exponent)
         except ValueError:
-            raise ValueError(f"non-integer factor {piece!r}") from None
+            raise ValueError(f"non-integer factor {piece.strip()!r}") from None
         if p < 2 or e < 1:
-            raise ValueError(f"invalid factor {piece!r}")
+            raise ValueError(f"invalid factor {piece.strip()!r}")
+        ascending = ascending and previous < p
+        previous = p
         factors.append((p, e))
-    if [p for p, _ in factors] != sorted({p for p, _ in factors}):
+    if not ascending:
         raise ValueError(f"primes must be distinct and ascending in {text!r}")
     return tuple(factors)

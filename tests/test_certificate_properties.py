@@ -7,10 +7,13 @@ checker must reject every such record, and accept the genuine one.
 Fields are also replaced by values of any shape, which the checker must
 judge without raising.  Record lines, arbitrary or with one field's text
 replaced, are parsed: the parser raises only ValueError and prints back
-every line it accepts.
+every line it accepts.  Mutated record lines, and factorization texts,
+are parsed both by the parser and by the reference it replaced, which
+must agree on every one.
 """
 
 import math
+from typing import Optional
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,13 +23,14 @@ from kendallcodes.certifier import (
     RECORD_FIELDS,
     Certificate,
     VERDICTS,
+    certificate_values,
     certify,
     check_certificate,
     format_certificate,
     parse_certificate,
 )
 from kendallcodes.mahonian import max_distance
-from kendallcodes.numtheory import MAX_GROUP_N
+from kendallcodes.numtheory import MAX_GROUP_N, format_factorization, parse_factorization
 
 
 @st.composite
@@ -195,3 +199,167 @@ def test_parser_round_trips_every_record_it_accepts(case, index, value):
     name = fields[index].partition("=")[0]
     fields[index] = f"{name}={value}"
     parsed_back("\t".join(fields))
+
+
+def reference_parse_factorization(text):
+    """The reference factorization parser: strip each factor, then sort the primes to compare."""
+    stripped = text.strip()
+    if stripped == "1":
+        return ()
+    factors = []
+    for part in stripped.split("*"):
+        piece = part.strip()
+        base, sep, exponent = piece.partition("^")
+        if not sep:
+            raise ValueError(f"missing exponent in factor {piece!r}")
+        try:
+            p, e = int(base), int(exponent)
+        except ValueError:
+            raise ValueError(f"non-integer factor {piece!r}") from None
+        if p < 2 or e < 1:
+            raise ValueError(f"invalid factor {piece!r}")
+        factors.append((p, e))
+    if [p for p, _ in factors] != sorted({p for p, _ in factors}):
+        raise ValueError(f"primes must be distinct and ascending in {text!r}")
+    return tuple(factors)
+
+
+def roundtrip_parse_certificate(line):
+    """The reference parser: split the fields, convert them, then print them back.
+
+    A line is accepted when the printed values equal the ones read, so
+    the record is canonical without a grammar of its own.
+    """
+    line = line.removesuffix("\n")
+    names, values = [], []
+    for part in line.split("\t"):
+        name, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"malformed record field {part!r}")
+        names.append(name)
+        values.append(value)
+    if tuple(names) != RECORD_FIELDS:
+        raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
+    n, t, ball, factorization, verdict, witness, exponents_text = values
+    if verdict not in VERDICTS:
+        raise ValueError(f"unknown verdict {verdict!r}")
+    exponents: Optional[tuple[int, int]] = None
+    if exponents_text:
+        first, sep, second = exponents_text.partition(",")
+        if not sep:
+            raise ValueError(f"malformed exponent pair {exponents_text!r}")
+        exponents = (int(first), int(second))
+    cert = Certificate(
+        int(n),
+        int(t),
+        int(ball),
+        reference_parse_factorization(factorization),
+        verdict,
+        int(witness) if witness else None,
+        exponents,
+    )
+    if certificate_values(cert) != tuple(values):
+        raise ValueError(f"record {line!r} is not in canonical form")
+    return cert
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+# a field's text with a sign, zero padding, `_`, other digits, spaces or a
+# second newline, or as an empty, zero or negative zero field
+FIELD_EDITS = [
+    lambda v: "+" + v,
+    lambda v: "-" + v,
+    lambda v: "0" + v,
+    lambda v: "00",
+    lambda v: "-0",
+    lambda v: v[:1] + "_" + v[1:],
+    lambda v: v.translate(ARABIC_INDIC),
+    lambda v: v.translate(FULLWIDTH),
+    lambda v: " " + v,
+    lambda v: v + " ",
+    lambda v: v.replace(" * ", "*"),
+    lambda v: v.replace(",", " , "),
+    lambda v: v + "\n",
+    lambda v: "",
+]
+# record syntax, digits of every kind and whitespace
+MUTATION_CHARS = st.sampled_from("0123456789-+_ ,^*=\t\n\r\u0661\uff11\u00a0")
+
+
+@st.composite
+def mutated_record(draw):
+    """A genuine record line after one to three edits of its characters or field texts."""
+    line = format_certificate(certify(*draw(group_and_radius())))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "field"]))
+        if kind == "field":
+            fields = line.split("\t")
+            index = draw(st.integers(0, len(fields) - 1))
+            name, sep, value = fields[index].partition("=")
+            fields[index] = name + sep + draw(st.sampled_from(FIELD_EDITS))(value)
+            line = "\t".join(fields)
+            continue
+        at = draw(st.integers(0, len(line) if kind == "insert" else len(line) - 1))
+        new = draw(MUTATION_CHARS) if kind != "delete" else ""
+        line = line[:at] + new + line[at + (kind != "insert") :]
+    return line
+
+
+def parsed_or_none(parse, line):
+    try:
+        return parse(line)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=600, deadline=None)
+@example(format_certificate(certify(13, 3)))
+@example(format_certificate(certify(13, 3)).replace("ball=441", "ball=541"))
+@example(format_certificate(certify(13, 3)).replace("=2,1", "=2,-1") + "\n")
+@example(format_certificate(certify(13, 3)).replace("n=13", "n=-0"))
+@example(format_certificate(certify(13, 3)).replace("3^2", "1^2"))
+@example(format_certificate(certify(5, 2)).replace("witness=7", "witness=0"))
+@example(format_certificate(certify(2, 0)).replace("factorization=1", "factorization= 1"))
+@given(mutated_record())
+def test_parser_accepts_what_the_reference_accepts(line):
+    expected = parsed_or_none(roundtrip_parse_certificate, line)
+    parsed = parsed_or_none(parse_certificate, line)
+    assert (parsed is None) == (expected is None)
+    if parsed is not None:
+        assert type(parsed) is Certificate
+        assert exactly(tuple(parsed), tuple(expected))
+
+
+def outcome(parse, text):
+    """What ``parse`` returns, or the message of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+FACTOR_TEXT = st.text(alphabet="0123456789 *^-+_\t\n\u0661", max_size=30)
+
+
+@st.composite
+def factorization_text(draw):
+    """A factorization as printed, with spaces and signs spliced in, or any nearby text."""
+    if draw(st.booleans()):
+        return draw(FACTOR_TEXT)
+    factors = draw(st.lists(st.tuples(st.integers(-2, 60), st.integers(-1, 4)), max_size=4))
+    text = format_factorization(factors)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(" *^+-_0\u0661")) + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@example("  3^2   *  7^2 ")
+@example("7^2 * 3^2 * x^1")
+@example("2^1 * 2^1")
+@example(" 3 ^ 2 * 7^ 2")
+@given(factorization_text())
+def test_factorization_parser_matches_the_reference(text):
+    assert outcome(parse_factorization, text) == outcome(reference_parse_factorization, text)

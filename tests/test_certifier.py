@@ -287,6 +287,18 @@ def test_checker_rejects_tampered_ball_and_factors():
     )
 
 
+def test_checker_rejects_every_other_split_of_the_same_product():
+    # each multiplies out to the ball 441 = 3^2 * 7^2 and keeps its verdict
+    base = certify(13, 3)
+    for smooth in (
+        ((3, 1), (3, 1), (7, 2)),  # a prime repeated
+        ((3, 2), (5, 0), (7, 2)),  # a prime to the power 0
+        ((1, 1), (3, 2), (7, 2)),  # a factor 1
+        ((7, 2), (9, 1)),  # a composite base, in ascending order
+    ):
+        assert not check_certificate(base._replace(factorization=smooth)), smooth
+
+
 def test_checker_rejects_forged_verdicts():
     base = certify(13, 3)
     assert not check_certificate(base._replace(verdict="RULED_OUT"))

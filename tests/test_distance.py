@@ -13,7 +13,7 @@ from collections import deque
 import pytest
 
 from kendallcodes import oracle
-from kendallcodes.oracle import check_permutation, kendall_distance
+from kendallcodes.oracle import check_permutation, kendall_distance, verify_min_distance
 
 
 def pair_scan_weight(pi):
@@ -95,6 +95,24 @@ def test_rejects_non_permutations():
             kendall_distance(bad, bad)
     with pytest.raises(ValueError, match="size mismatch"):
         kendall_distance((1, 2), (1, 3, 2))
+
+
+NOT_INTS = [(1.0, 2.0), (2.0, 1.0), (True, 2), (2, True), (1, 2.0)]
+CALLS = {
+    "kendall_weight": lambda bad: kendall_weight(bad),
+    "kendall_distance_first": lambda bad: kendall_distance(bad, (1, 2)),
+    "kendall_distance_second": lambda bad: kendall_distance((1, 2), bad),
+    "verify_min_distance_1": lambda bad: verify_min_distance((bad, (2, 1)), 1),
+    "verify_min_distance_2": lambda bad: verify_min_distance((bad, (2, 1)), 2),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_entries_must_be_ints(call, bad):
+    # floats and bools compare equal to 1 and 2, but are no permutation entries
+    with pytest.raises(ValueError, match="not a permutation"):
+        call(bad)
 
 
 def test_weight_examples():

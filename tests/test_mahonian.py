@@ -181,9 +181,9 @@ def test_sphere_closed_form_examples():
     assert sphere_closed_form(13, 3) == 351
 
 
-def test_sphere_closed_form_thresholds():
-    with pytest.raises(ValueError):
-        sphere_closed_form(2, 2)
+def test_sphere_closed_form_thresholds(table60):
+    # S(2, 2) = 0: radius 2 lies past the diameter of S_2
+    assert sphere_closed_form(2, 2) == 0 == sphere_size(table60, 2, 2)
     with pytest.raises(ValueError):
         sphere_closed_form(3, 4)
     with pytest.raises(ValueError):

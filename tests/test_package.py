@@ -26,6 +26,18 @@ import kendallcodes
 print(kendallcodes.search_perfect_code.__module__, "kendallcodes.oracle" in sys.modules)
 """
 
+# a one-shot certify, then whether the record pattern was compiled, before
+# and after one record is parsed
+COLD_CERTIFY_PATTERN = """
+import contextlib, io
+from kendallcodes import certifier, cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["certify", "--n", "13", "--t", "3"])
+print(code, certifier._record_pattern.cache_info().currsize)
+certifier.parse_certificate(out.getvalue())
+print(certifier._record_pattern.cache_info().currsize)
+"""
+
 
 def test_star_import_resolves_every_export():
     namespace = {}
@@ -47,7 +59,14 @@ def test_star_import_binds_exactly_the_module_surface(module):
 
 def test_tracer_only_imports_stay_out_of_the_certifier_surface():
     # perfbench's tracer wraps these at certifier, so they must still resolve there
-    tracer_only = ["factorial", "ball_size", "build_table", "ball_closed_form", "divides_factorial"]
+    tracer_only = [
+        "factorial",
+        "ball_size",
+        "build_table",
+        "ball_closed_form",
+        "divides_factorial",
+        "factorial_valuation",
+    ]
     assert all(hasattr(certifier, name) for name in tracer_only)
     assert [name for name in tracer_only if name in certifier.__all__] == []
 
@@ -73,6 +92,19 @@ def test_certify_loads_neither_dataclasses_nor_the_oracle():
         check=True,
     )
     assert done.stdout.splitlines() == ["0 False False", "kendallcodes.oracle True"]
+
+
+def test_certify_never_compiles_the_record_pattern():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_CERTIFY_PATTERN],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.splitlines() == ["0 0", "1"]
 
 
 def test_unknown_attribute_is_an_attribute_error():
