@@ -1,11 +1,12 @@
 """Permutation entries must be ints: floats and bools are refused everywhere.
 
-The distance's other tests are in ``test_distance.py``.
+The distance's other tests are in ``test_distance.py``, and so are the
+cases of this check that go through ``verify_min_distance``.
 """
 
 import pytest
 
-from kendallcodes.oracle import kendall_distance, verify_min_distance
+from kendallcodes.oracle import kendall_distance
 
 
 def kendall_weight(pi):
@@ -18,8 +19,6 @@ CALLS = {
     "kendall_weight": lambda bad: kendall_weight(bad),
     "kendall_distance_first": lambda bad: kendall_distance(bad, (1, 2)),
     "kendall_distance_second": lambda bad: kendall_distance((1, 2), bad),
-    "verify_min_distance_1": lambda bad: verify_min_distance((bad, (2, 1)), 1),
-    "verify_min_distance_2": lambda bad: verify_min_distance((bad, (2, 1)), 2),
 }
 
 
