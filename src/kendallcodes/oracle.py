@@ -22,35 +22,28 @@ stay put, and between its sweeps the others take one plain change of
 their own.  S_n is never materialised.
 
 The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
-radius-t balls, since a perfect code is a set of centers whose balls
-partition S_n.  Relabelling values preserves the Kendall distance, so the
-ball around ``c`` is x relabelled through ``c`` for x in the ball around
-the identity, which is measured once by counting inversions: O(n!·|B|)
-work instead of n!² distance calls.  The search's permutations are
-enumerated, not supplied, so it indexes them directly and validates only
-the code it returns.
-When one ball is all of S_n (t at or past the diameter) no ball is
-built: the identity alone is the code.  Because the balls are derived, a
-code the search finds is re-checked by direct distances before it is
-returned.  The search, iterative rather than recursive, expands the
-lowest uncovered permutation with the fewest admissible centers
-(fail-first, where none and one count alike), tries them in
-lexicographic order and counts every visited state, so outcomes and node
-counts are reproducible.  It runs until it finds a cover or exhausts the
-choices: no served (n, t) visits more than 720 states, and the one
-bound, n <= 6, limits the n!·|B| work of building the balls.  The
-identity is always the first codeword: translating all codewords by a
-fixed permutation preserves pairwise distances, so any perfect code can
-be shifted to one containing the identity and the restriction loses no
-generality.
+radius-t balls, whose partitions of S_n are the perfect codes.  The ball
+around the identity is measured once by counting inversions, and the ball
+around ``c`` is its translate, relabelled through ``c`` (relabelling keeps
+distances): O(n!·|B|) work instead of n!² distance calls.  The search
+enumerates its permutations, so it indexes them and validates only the
+code it returns, which it re-checks by direct distances.  A ball that is
+all of S_n (t at or past the diameter) is not built: the identity alone is
+the code.  The search keeps a count of admissible centers per point and
+undoes its steps in reverse.  It is iterative, expands the lowest point
+with the fewest admissible centers (fail-first, where none and one count
+alike), tries them in lexicographic order and counts every visited state,
+so node counts are reproducible.  No served (n, t) visits more than 720
+states; the one bound, n <= 6, limits building the balls.  The identity
+is always the first codeword, since translating a code keeps distances.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right, insort
-from math import factorial
+from math import comb, factorial
+from operator import gt, itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_HISTOGRAM_N = 10
@@ -158,7 +151,7 @@ def inversion_histogram(n: int) -> tuple[int, ...]:
             "the distance histogram enumerates all of S_n and supports"
             f" 2 <= n <= {MAX_HISTOGRAM_N}, got {n}"
         )
-    counts = [0] * (math.comb(n, 2) + 1)
+    counts = [0] * (comb(n, 2) + 1)
     counts[0] = 1  # the identity, where the walk starts
     pi = list(range(n))
     inversions = 0
@@ -205,52 +198,60 @@ def _translated_balls(
     distance. Relabelling is injective, so the indices are distinct.
     """
     index = {pi: i for i, pi in enumerate(perms)}
-    return [
-        tuple(sorted(index[tuple(center[v - 1] for v in x)] for x in ball))
-        for center in perms
-    ]
+    relabels = [itemgetter(*(v - 1 for v in x)) for x in ball]  # r(c): x through c
+    return [tuple(sorted([index[r(c)] for r in relabels])) for c in perms]
 
 
 def _exact_cover(balls: list[tuple[int, ...]]) -> tuple[str, list[int], int]:
-    """Partition the points by ``balls``: (outcome, chosen centers, nodes visited)."""
-    # Algorithm X over sets: each uncovered point keeps the centers that
-    # could still cover it, which by symmetry start as its own ball
-    admissible = {point: set(centers) for point, centers in enumerate(balls)}
-    # each selected center with the columns its selection removed
-    selected: list[tuple[int, list[tuple[int, set[int]]]]] = []
+    """Partition the points by ``balls``: (outcome, chosen centers, nodes visited).
+
+    ``balls`` are symmetric and reflexive sorted tuples.  ``counts`` holds
+    each uncovered point's number of alive centers, which by symmetry start
+    as its ball, and a selection is undone by replaying it in reverse: the
+    state is O(changes), with no copy per node.
+    """
+    covered = len(balls) + 1  # above every count: min() and index() pass it by
+    counts = [len(ball) for ball in balls]
+    alive = [True] * len(balls)
+    selected: list[tuple[int, list[int]]] = []  # (center, centers it hid)
 
     def select(center: int) -> None:
-        # cover the center's points and hide every center that meets them
-        removed = []
+        # hide every center that meets the ball; then its points are covered
+        hidden = []
         for point in balls[center]:
-            rivals = admissible.pop(point)
-            for rival in rivals:
-                for other in balls[rival]:
-                    if other in admissible:
-                        admissible[other].discard(rival)
-            removed.append((point, rivals))
-        selected.append((center, removed))
+            for rival in balls[point]:
+                if alive[rival]:
+                    alive[rival] = False
+                    hidden.append(rival)
+                    for other in balls[rival]:
+                        counts[other] -= 1
+        for point in balls[center]:
+            counts[point] = covered
+        selected.append((center, hidden))
 
     def deselect() -> None:
-        for point, rivals in reversed(selected.pop()[1]):
-            for rival in rivals:
-                for other in balls[rival]:
-                    if other in admissible:
-                        admissible[other].add(rival)
-            admissible[point] = rivals
+        center, hidden = selected.pop()
+        for point in balls[center]:  # every center of these points was hidden
+            counts[point] = 0
+        for rival in reversed(hidden):
+            alive[rival] = True
+            for other in balls[rival]:
+                counts[other] += 1
 
     select(0)  # the identity; any perfect code translates to one holding it
     # the untried centers of each open choice, deepest last; a loop, not
     # recursion, since (6, 0) opens 720 choices
     choices: list[Iterator[int]] = []
     for nodes in itertools.count(1):
-        if not admissible:
+        fewest = min(counts)
+        if fewest == covered:
             return FOUND, [center for center, _ in selected], nodes
         # fail-first: the lowest point with the fewest admissible centers,
         # where none and one count alike
-        fewest = max(min(map(len, admissible.values())), 1)
-        point = min(p for p, centers in admissible.items() if len(centers) <= fewest)
-        choices.append(iter(sorted(admissible[point])))
+        point = counts.index(fewest)
+        if not fewest and 1 in counts[:point]:
+            point = counts.index(1)
+        choices.append(iter([c for c in balls[point] if alive[c]]))  # ascending
         while choices and (center := next(choices[-1], None)) is None:
             choices.pop()
             if choices:
@@ -276,7 +277,7 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
     ball = [
         pi
         for pi in perms
-        if sum(left > right for left, right in itertools.combinations(pi, 2)) <= t
+        if sum(itertools.starmap(gt, itertools.combinations(pi, 2))) <= t
     ]
     order = factorial(n)
     note = ""
@@ -287,9 +288,8 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
             "balls cannot partition the group"
         )
     elif len(ball) == order:
-        # one ball is all of S_n, so the identity alone is a perfect code:
-        # the search's first node would find it after building n! identical
-        # translates
+        # one ball is all of S_n, so the identity alone is a perfect code;
+        # the search would find it after building n! identical translates
         outcome, centers, nodes = FOUND, [0], 1
     else:
         outcome, centers, nodes = _exact_cover(_translated_balls(perms, ball))

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -361,3 +362,143 @@ def test_search_settles_radius_1_in_s7_past_the_cap(monkeypatch):
     assert result.outcome == EXHAUSTED_NONE
     assert result.nodes_explored == 1807
     assert result.code is None
+
+
+def reference_exact_cover(balls):
+    """The set-based Algorithm X the counting kernel replaced, kept as its oracle.
+
+    Each uncovered point keeps the set of centers that could still cover it,
+    and the fail-first pick scans every one of them at each node.
+    """
+    admissible = {point: set(centers) for point, centers in enumerate(balls)}
+    # each selected center with the columns its selection removed
+    selected = []
+
+    def select(center):
+        # cover the center's points and hide every center that meets them
+        removed = []
+        for point in balls[center]:
+            rivals = admissible.pop(point)
+            for rival in rivals:
+                for other in balls[rival]:
+                    if other in admissible:
+                        admissible[other].discard(rival)
+            removed.append((point, rivals))
+        selected.append((center, removed))
+
+    def deselect():
+        for point, rivals in reversed(selected.pop()[1]):
+            for rival in rivals:
+                for other in balls[rival]:
+                    if other in admissible:
+                        admissible[other].add(rival)
+            admissible[point] = rivals
+
+    select(0)
+    choices = []
+    for nodes in itertools.count(1):
+        if not admissible:
+            return FOUND, [center for center, _ in selected], nodes
+        fewest = max(min(map(len, admissible.values())), 1)
+        point = min(p for p, centers in admissible.items() if len(centers) <= fewest)
+        choices.append(iter(sorted(admissible[point])))
+        while choices and (center := next(choices[-1], None)) is None:
+            choices.pop()
+            if choices:
+                deselect()
+        if not choices:
+            return EXHAUSTED_NONE, [], nodes
+        select(center)
+
+
+def searched_balls(monkeypatch, n, t):
+    """The balls ``search_perfect_code(n, t)`` hands the cover, or None if none."""
+    seen = []
+
+    def spy(balls):
+        seen.append(balls)
+        return real(balls)
+
+    real = oracle._exact_cover
+    monkeypatch.setattr(oracle, "_exact_cover", spy)
+    search_perfect_code(n, t)
+    monkeypatch.setattr(oracle, "_exact_cover", real)
+    return seen[0] if seen else None
+
+
+def random_ball_family(rng):
+    """Symmetric, reflexive balls on a few points, as sorted tuples.
+
+    Half of them have a planted partition: blocks whose first point, 0 in
+    the first block, is adjacent to its block alone, so those points'
+    balls partition the points and the cover can find them.
+    """
+    size = rng.randint(1, 30)
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    planted = rng.random() < 0.5
+    centers = set()
+    edges = set()
+    if planted:
+        points = list(range(1, size))
+        rng.shuffle(points)
+        points.insert(0, 0)
+        start = 0
+        while start < size:
+            block = points[start : start + rng.randint(1, 5)]
+            centers.add(block[0])
+            edges.update((block[0], point) for point in block[1:])
+            start += len(block)
+    for a, b in itertools.combinations(range(size), 2):
+        if a not in centers and b not in centers and rng.random() < density:
+            edges.add((a, b))
+    neighbours = [{point} for point in range(size)]
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    return [tuple(sorted(ball)) for ball in neighbours]
+
+
+def test_counting_cover_matches_the_set_reference_on_the_searched_balls(monkeypatch):
+    # every (n, t) with n <= 6 whose cover runs, then (7, 1) past the cap
+    runs = 0
+    for n in range(2, 7):
+        for t in range(max_distance(n) + 1):
+            balls = searched_balls(monkeypatch, n, t)
+            if balls is not None:
+                expected = reference_exact_cover(balls)
+                assert oracle._exact_cover(balls) == expected, (n, t)
+                runs += 1
+    assert runs == 11
+    monkeypatch.setattr(oracle, "MAX_SEARCH_N", 7)
+    balls = searched_balls(monkeypatch, 7, 1)
+    assert oracle._exact_cover(balls) == reference_exact_cover(balls)
+    assert oracle._exact_cover(balls) == (EXHAUSTED_NONE, [], 1807)
+
+
+def test_counting_cover_matches_the_set_reference_on_random_families():
+    rng = random.Random(28)
+    outcomes = set()
+    deep = 0
+    for _ in range(200):
+        balls = random_ball_family(rng)
+        expected = reference_exact_cover(balls)
+        assert oracle._exact_cover(balls) == expected, balls
+        outcomes.add(expected[0])
+        deep += expected[2] >= 5
+    # both outcomes, and searches that backtrack, not only one-node answers
+    assert outcomes == {FOUND, EXHAUSTED_NONE}
+    assert deep >= 20, deep
+
+
+def test_cover_backtracks_in_place(monkeypatch):
+    # (6, 0) opens 720 nested choices; undoing each step instead of copying
+    # the state per node keeps the cover's own allocations small
+    balls = searched_balls(monkeypatch, 6, 0)
+    tracemalloc.start()
+    try:
+        outcome, centers, nodes = oracle._exact_cover(balls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (outcome, len(centers), nodes) == (FOUND, 720, 720)
+    assert peak < 1_000_000, peak
