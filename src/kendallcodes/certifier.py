@@ -74,11 +74,11 @@ INCONCLUSIVE = "INCONCLUSIVE"
 VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 
 # A ceiling on min(n, r) * r with r = min(t, D), at its value for the
-# diameter of S_128; it keeps the served range where 0.11.x put it.  Past
-# r = n it counts ball_count's product steps, about 0.1 s at the edges
-# (128, 8128), (200, 5201) and (1019, 1020).  For r <= n, where ball_count
-# sums O(sqrt(r)) binomials, it caps r at 1019, and so bounds the ball's
-# digits (1,474 at n = 10000) and the cost of its n-smooth split.
+# diameter of S_128.  Past r = n it counts ball_count's product steps,
+# about 0.1 s at the edges (128, 8128), (200, 5201) and (1019, 1020).  For
+# r <= n, where ball_count sums O(sqrt(r)) binomials, it caps r at 1019,
+# and so bounds the ball's digits (1,474 at n = 10000) and the cost of
+# its n-smooth split.
 MAX_BALL_WORK = 128 * max_distance(128)
 
 

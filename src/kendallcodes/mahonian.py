@@ -138,6 +138,8 @@ def _telescoped(table: SphereTable, n: int, i: int) -> int:
     one-step recurrence adds from row l to row l + 1; t >= 4 is the pivot,
     the smallest group size in which radius i is feasible.
     """
+    if table.max_n < n - 1:
+        raise ValueError(f"needs table rows up to {n - 1}, table stops at {table.max_n}")
     t = 4
     while max_distance(t) < i:
         t += 1
@@ -162,8 +164,6 @@ def sphere_size_small_radius(table: SphereTable, n: int, i: int) -> int:
         raise ValueError(f"defined for group sizes n >= 4, got {n}")
     if not 4 <= i <= n - 1:
         raise ValueError(f"radius must satisfy 4 <= i <= n - 1 = {n - 1}, got {i}")
-    if table.max_n < n - 1:
-        raise ValueError(f"needs table rows up to {n - 1}, table stops at {table.max_n}")
     return _telescoped(table, n, i)
 
 
@@ -181,21 +181,7 @@ def sphere_size_large_radius(table: SphereTable, n: int, i: int) -> int:
         raise ValueError(
             f"radius must satisfy n <= i <= {max_distance(n) // 2}, got {i}"
         )
-    if table.max_n < n - 1:
-        raise ValueError(f"needs table rows up to {n - 1}, table stops at {table.max_n}")
     return _telescoped(table, n, i)
-
-
-def _exact_div(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(
-            f"non-exact division {numerator}/{denominator}; closed form is broken"
-        )
-    return quotient
-
-
-SPHERE_FORM_MIN_N = {0: 1, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
 
 
 def sphere_closed_form(n: int, i: int) -> int:
@@ -205,10 +191,6 @@ def sphere_closed_form(n: int, i: int) -> int:
     threshold on n the polynomial counts nothing meaningful, so the call is
     rejected rather than silently extrapolated.
     """
-    if i not in SPHERE_FORM_MIN_N:
-        raise ValueError(f"closed forms cover radii 0..5, got {i}")
-    if n < SPHERE_FORM_MIN_N[i]:
-        raise ValueError(f"radius {i} closed form needs n >= {SPHERE_FORM_MIN_N[i]}, got {n}")
     return ball_closed_form(n, i) - (ball_closed_form(n, i - 1) if i else 0)
 
 
@@ -306,7 +288,10 @@ def ball_closed_form(n: int, r: int) -> int:
     if n < BALL_FORM_MIN_N[r]:
         raise ValueError(f"radius {r} closed form needs n >= {BALL_FORM_MIN_N[r]}, got {n}")
     product = math.prod(poly(n) for _, poly in BALL_FORM_FACTORS[r])
-    return _exact_div(product, math.factorial(r))
+    quotient, remainder = divmod(product, math.factorial(r))
+    if remainder:
+        raise ArithmeticError(f"non-exact division {product}/{r}!; closed form is broken")
+    return quotient
 
 
 TSV_HEADER = "n\ti\tsphere\tball"

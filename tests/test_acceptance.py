@@ -19,7 +19,6 @@ from kendallcodes.certifier import (
 )
 from kendallcodes.mahonian import (
     BALL_FORM_MIN_N,
-    SPHERE_FORM_MIN_N,
     ball_closed_form,
     ball_size,
     build_table,
@@ -81,7 +80,7 @@ def test_criterion_3_closed_forms_against_recurrence():
         table = build_table(60)
         for n in range(3, 61):
             for i in range(0, 6):
-                if n >= SPHERE_FORM_MIN_N[i]:
+                if n >= BALL_FORM_MIN_N[i]:
                     assert sphere_closed_form(n, i) == sphere_size(table, n, i), (n, i)
             for r in range(0, 6):
                 if n >= BALL_FORM_MIN_N[r]:

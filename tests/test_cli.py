@@ -454,6 +454,23 @@ def test_a_reader_closing_early_exits_141_silently(argv):
     assert EXIT_BROKEN_PIPE == 141
 
 
+def test_the_package_runs_as_the_cli_module():
+    src = str(Path(kendallcodes.__file__).resolve().parents[1])
+    for argv in (("verify", "--n", "2"), ("certify", "--n", "7", "--t", "3")):
+        package, module = (
+            subprocess.run(
+                [sys.executable, "-m", name, *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src),
+                timeout=60,
+            )
+            for name in ("kendallcodes", "kendallcodes.cli")
+        )
+        assert module.stdout
+        assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
+
+
 def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["sphere", "--n", "5"])  # --i is required

@@ -101,6 +101,7 @@ NOT_INTS = [(1.0, 2.0), (2.0, 1.0), (True, 2), (2, True), (1, 2.0)]
 CALLS = {
     "kendall_weight": lambda bad: kendall_weight(bad),
     "kendall_distance_first": lambda bad: kendall_distance(bad, (1, 2)),
+    "kendall_distance_second": lambda bad: kendall_distance((1, 2), bad),
     "verify_min_distance_1": lambda bad: verify_min_distance((bad, (2, 1)), 1),
     "verify_min_distance_2": lambda bad: verify_min_distance((bad, (2, 1)), 2),
 }

@@ -170,7 +170,7 @@ def test_piecewise_routes_cover_all_radii(table150):
 def test_sphere_closed_forms_match_table(table60):
     for n in range(3, 61):
         for i in range(0, 6):
-            if n < mahonian.SPHERE_FORM_MIN_N[i]:
+            if n < mahonian.BALL_FORM_MIN_N[i]:
                 continue
             assert sphere_closed_form(n, i) == sphere_size(table60, n, i), (n, i)
 
@@ -232,6 +232,13 @@ def test_ball_closed_form_thresholds():
         ball_closed_form(4, 5)
     with pytest.raises(ValueError):
         ball_closed_form(30, 6)
+
+
+def test_ball_closed_form_refuses_a_non_exact_division(monkeypatch):
+    # a factor list whose product r! does not divide must raise, not round
+    monkeypatch.setitem(mahonian.BALL_FORM_FACTORS, 2, (("n", lambda n: n),))
+    with pytest.raises(ArithmeticError, match="closed form is broken"):
+        ball_closed_form(5, 2)
 
 
 def test_ball_closed_forms_match_table(table60):
