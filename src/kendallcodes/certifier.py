@@ -74,8 +74,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 
 # A ceiling on min(n, r) * r with r = min(t, D), at its value for the
-# diameter of S_128.  Past r = n it counts ball_count's product steps,
-# about 0.1 s at the edges (128, 8128), (200, 5201) and (1019, 1020).  For
+# diameter of S_128.  Past r = n it bounds ball_count's product steps,
+# which run only for 2n + 1 < r < D/2 once radii past D/2 are reflected:
+# about 0.1 s at the edges (200, 5201) and (161, 6460).  For
 # r <= n, where ball_count sums O(sqrt(r)) binomials, it caps r at 1019,
 # and so bounds the ball's digits (1,474 at n = 10000) and the cost of
 # its n-smooth split.

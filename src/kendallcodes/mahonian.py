@@ -16,9 +16,13 @@ Single ball sizes come from :func:`ball_count`, which builds no table: the
 generating function of the balls is prod_{k<=n} (1 - q^k) / (1 - q)^(n+1),
 so B(n, r) is a sum of binomials weighted by the coefficients of Euler's
 product (Knuth, TAOCP vol. 3, section 5.1.1).  For r <= n those are the
-pentagonal signs of Euler's theorem, so the sum has O(sqrt(r)) terms;
-past r = n they are expanded from the truncated product in O(n * r)
-integer steps.  The paper's piecewise recursions are one telescoped sum
+pentagonal signs of Euler's theorem, so the sum has O(sqrt(r)) terms.
+For n < r <= 2n + 1 the product differs from Euler's by one part above
+n, which adds one pentagonal ball of S_(n+1).  Radii at or past the
+diameter D give n!, and radii from D/2 are n! minus the ball of the
+reflected radius D - 1 - r.  Only 2n + 1 < r < D/2, empty for n <= 9,
+expands the truncated product's coefficients in O(n * r) integer
+steps.  The paper's piecewise recursions are one telescoped sum
 of window sums over smaller groups' rows, with two domains
 (`sphere_size_small_radius` for radii below n,
 `sphere_size_large_radius` for radii from n up to the midpoint), and the
@@ -210,36 +214,47 @@ def ball_size(table: SphereTable, n: int, r: int) -> BallSize:
 def ball_count(n: int, r: int) -> int:
     """B(n, r) for any n >= 1 and r >= 0, exact and without a table.
 
-    Radii at or beyond the diameter D clamp to it, so the value is n!
-    there.  With a_j = [q^j] prod_{k=1..n} (1 - q^k),
+    With a_j = [q^j] prod_{k=1..n} (1 - q^k),
 
         B(n, r) = sum over j in 0..r of a_j * C(n + r - j, n),
 
     because dividing the Mahonian generating function prod (1 - q^k) /
-    (1 - q)^n by one more (1 - q) turns spheres into balls.
+    (1 - q)^n by one more (1 - q) turns spheres into balls.  Let E_n(r)
+    be the same sum with the coefficients of Euler's infinite product:
+    (-1)^k at the generalized pentagonal numbers j = k(3k -+ 1)/2 and 0
+    elsewhere, about 2 * sqrt(2r/3) + 1 terms, each one ``math.comb``.
+    With D the diameter, the radius takes one of five routes:
 
-    For r <= n (after the clamp) the a_j up to r are those of Euler's
-    infinite product: (-1)^k at the generalized pentagonal numbers
-    j = k(3k -+ 1)/2 and 0 elsewhere.  The sum then has about
-    2 * sqrt(2r/3) + 1 terms, each one ``math.comb``.  For r > n the
-    coefficients are expanded from the factors k <= n in O(n * r)
-    integer steps, and the sum walks r + 1 binomials.
+    * r >= D: the ball is the whole group, n!;
+    * D/2 <= r < D: n! - B(n, D - 1 - r), because spheres are symmetric
+      and the complement of a ball is the ball of the reflected radius;
+    * r <= n: E_n(r), since the factors k > n start at q^(n+1);
+    * n < r <= 2n + 1: E_n(r) + E_(n+1)(r - n - 1).  The truncated product
+      is E(q) times the partitions into parts above n, and below
+      q^(2n+2) those have at most one part, so it adds the sum of
+      E_n(s) over s < r - n, which is E_(n+1)(r - n - 1) by the
+      hockey-stick identity: the pentagonal ball of S_(n+1);
+    * 2n + 1 < r < D/2: the truncated product's coefficients, expanded
+      in O(n * r) integer steps, and a walk over r + 1 binomials.
     """
     if n < 1:
         raise ValueError(f"group size must be at least 1, got {n}")
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
-    r = min(r, max_distance(n))
+    diameter = max_distance(n)
+    if r >= diameter:
+        return math.factorial(n)
+    if 2 * r >= diameter:
+        return math.factorial(n) - _ball_below_midpoint(n, diameter - 1 - r)
+    return _ball_below_midpoint(n, r)
+
+
+def _ball_below_midpoint(n: int, r: int) -> int:
+    """B(n, r) for 0 <= r < D/2 by the last three routes of :func:`ball_count`."""
     if r <= n:
-        total = math.comb(n + r, n)
-        k = 1
-        while (j := k * (3 * k - 1) // 2) <= r:
-            term = math.comb(n + r - j, n)
-            if j + k <= r:  # the pentagonal partner k(3k + 1)/2
-                term += math.comb(n + r - j - k, n)
-            total += -term if k % 2 else term
-            k += 1
-        return total
+        return _euler_sum(n, r)
+    if r <= 2 * n + 1:
+        return _euler_sum(n, r) + _euler_sum(n + 1, r - n - 1)
     coeffs = [1] + [0] * r
     for k in range(1, n + 1):
         for j in range(r, k - 1, -1):  # multiply by (1 - q^k) in place
@@ -251,6 +266,19 @@ def ball_count(n: int, r: int) -> int:
         if a:
             total += a * binom
         binom = binom * (n + m + 1) // (m + 1)
+    return total
+
+
+def _euler_sum(n: int, r: int) -> int:
+    """E_n(r): the sum of (-1)^k * C(n + r - j, n) over pentagonal j <= r."""
+    total = math.comb(n + r, n)
+    k = 1
+    while (j := k * (3 * k - 1) // 2) <= r:
+        term = math.comb(n + r - j, n)
+        if j + k <= r:  # the pentagonal partner k(3k + 1)/2
+            term += math.comb(n + r - j - k, n)
+        total += -term if k % 2 else term
+        k += 1
     return total
 
 

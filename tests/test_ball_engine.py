@@ -1,13 +1,18 @@
 """The table-free ball engine at its boundaries, and the paths that use it.
 
-The engine sums Euler's pentagonal terms for r <= n and expands the
-truncated product past r = n, and the radius clamps at the diameter D;
-both edges are pinned against the recurrence table, and the pentagonal
-sum against the product's coefficient loop, kept here as a reference.
+The engine takes one of five routes by the radius r and the diameter D:
+n! for r >= D; n! minus the ball of radius D - 1 - r for D/2 <= r < D;
+Euler's pentagonal sum for r <= n; that sum plus one pentagonal ball of
+S_(n+1) for n < r <= 2n + 1; and the truncated product in between.
+Every route and each edge between two of them is pinned against the
+recurrence table or the product's coefficient loop, kept here as a
+reference, and so are spheres whose two balls take different routes.
 Certificates and their re-checks must not build a table at all.  The
 served balls end at a fixed bound on min(n, r) * r, pinned from both
 sides.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +41,7 @@ def test_at_the_diameter_of_s128(table150):
     d = max_distance(128)
     for r in (d - 1, d, d + 1):
         assert ball_count(128, r) == ball_size(table150, 128, r).value, r
+    assert ball_count(128, d) == math.factorial(128)
 
 
 def test_exhaustive_for_small_groups(table60):
@@ -63,6 +69,35 @@ def test_pentagonal_sum_matches_the_product_for_every_small_group():
     for n in range(1, 61):
         for r in range(n + 1):
             assert ball_count(n, r) == product_ball_count(n, r), (n, r)
+
+
+def test_every_route_matches_the_product_for_small_groups():
+    for n in range(1, 17):
+        for r in range(max_distance(n) + 3):
+            assert ball_count(n, r) == product_ball_count(n, r), (n, r)
+
+
+def test_the_edges_between_routes(table60):
+    for n in range(2, 61):
+        d = max_distance(n)
+        midpoints = [r for r in range(d + 2) if abs(2 * r - d) <= 1]
+        for r in [2 * n, 2 * n + 1, 2 * n + 2] + midpoints:
+            assert ball_count(n, r) == ball_size(table60, n, r).value, (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(47, 1019), (600, 1019), (1019, 1020), (1019, 2039)])
+def test_past_r_equal_n_matches_the_product(n, r):
+    assert ball_count(n, r) == product_ball_count(n, r)
+
+
+@pytest.mark.parametrize("n, table", [(40, "table60"), (128, "table150")])
+def test_spheres_across_the_route_edges(request, capsys, n, table):
+    row = request.getfixturevalue(table).row(n)
+    d = max_distance(n)
+    for i in (d // 2 - 1, d // 2, (d + 1) // 2, 2 * n + 1, 2 * n + 2):
+        assert ball_count(n, i) - ball_count(n, i - 1) == row[i], i
+        assert main(["sphere", "--n", str(n), "--i", str(i)]) == EXIT_OK, i
+        assert capsys.readouterr().out == f"{row[i]}\n", i
 
 
 @pytest.mark.parametrize("n, r", [(10000, 1019), (1019, 1019), (500, 300)])
