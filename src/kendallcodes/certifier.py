@@ -73,13 +73,13 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 
-# A ceiling on min(n, r) * r with r = min(t, D), at its value for the
-# diameter of S_128.  Past r = n it bounds ball_count's product steps,
-# which run only for 2n + 1 < r < D/2 once radii past D/2 are reflected:
-# about 0.1 s at the edges (200, 5201) and (161, 6460).  For
-# r <= n, where ball_count sums O(sqrt(r)) binomials, it caps r at 1019,
-# and so bounds the ball's digits (1,474 at n = 10000) and the cost of
-# its n-smooth split.
+# A ceiling on min(n, r) * r, with r the radius ball_count expands (see
+# _check_served); its value is 128 * D(128).  Past r = n it bounds the
+# product loop's n * r steps, about 0.1 s at the edges (200, 5201) and
+# (200, 14698).  From the midpoint on it bounds the digits of n! by
+# n <= 1019 (2,625 digits).  For r <= n, where ball_count sums O(sqrt(r))
+# binomials, it caps r at 1019, and so bounds the ball's digits (1,474 at
+# n = 10000) and the cost of its n-smooth split.
 MAX_BALL_WORK = 128 * max_distance(128)
 
 
@@ -114,19 +114,23 @@ class Certificate(NamedTuple):
 def _check_served(n: int, t: int) -> None:
     """Refuse a ball outside the served range, before any work on it.
 
-    The range bounds min(n, r) * r for r = min(t, D) by MAX_BALL_WORK:
-    ``ball_count``'s steps for r > n, and for r <= n a cap on r that
-    bounds the ball's digits and the cost of its split.
+    The range bounds min(n, r) * r by MAX_BALL_WORK, with r the radius
+    ``ball_count`` expands: t below the midpoint (2t < D), and from it on
+    max(D - 1 - t, n), the reflected radius floored at n because such a
+    ball has the digits of n!.  That bounds the product loop's steps for
+    r > n, and for r <= n it caps r, which bounds the ball's digits and
+    the cost of its split.
     """
     if not 2 <= n <= MAX_GROUP_N:
         raise ValueError(f"group size must be between 2 and {MAX_GROUP_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    r = min(t, max_distance(n))
+    r = t if 2 * t < max_distance(n) else max(max_distance(n) - 1 - t, n)
     work = min(n, r) * r
     if work > MAX_BALL_WORK:
         raise ValueError(
-            f"radius {t} at n={n} gives min(n, r)*r = {work}, past the bound of {MAX_BALL_WORK}"
+            f"radius {t} at n={n} expands radius {r}: min(n, r)*r = {work},"
+            f" past the bound of {MAX_BALL_WORK}"
         )
 
 
@@ -134,9 +138,10 @@ def ball_value(n: int, t: int) -> int:
     """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the served range.
 
     That range is 2 <= n <= MAX_GROUP_N, t >= 0 and min(n, r) * r <=
-    MAX_BALL_WORK with r = min(t, D), a bound on the ball's digits and
-    on the work of making and splitting it; radii beyond the diameter D
-    clamp to the whole group.
+    MAX_BALL_WORK with r the radius ``ball_count`` expands (t below the
+    midpoint D/2, else max(D - 1 - t, n)), a bound on the ball's digits
+    and on the work of making and splitting it; radii at or beyond the
+    diameter D give the whole group, n!, served for n <= 1019.
     """
     _check_served(n, t)
     return ball_count(n, t)
@@ -171,10 +176,13 @@ def certify(n: int, t: int) -> Certificate:
 def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
     """One certificate per n in [n_from, n_to], in order, each made as it is consumed.
 
-    Range problems are rejected at the call, before any work.  The bounded
-    measure of a ball, min(n, r) * r with r = min(t, D(n)), never
-    decreases as n grows, so the range is served when (n_to, t) is, and
-    no certificate of an accepted range is refused partway through.
+    Range problems are rejected at the call, before any work.  Checking
+    (n_to, t) alone is enough, so no certificate of an accepted range is
+    refused partway through: D grows with n, so a smaller group is below
+    its midpoint only if a larger one is; min(n, t) * t below the midpoint
+    and n * max(D - 1 - t, n) from it on both grow with n; and from the
+    midpoint on n <= D/2 <= t once n >= 5, so the second is at most the
+    first, while for n <= 4 it is at most 20.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")

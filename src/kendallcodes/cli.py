@@ -52,8 +52,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
             "perfect permutation codes."
         ),
         epilog=(
-            f"Balls are served for 2 <= n <= {certifier.MAX_GROUP_N} while"
-            f" min(n, r)*r <= {certifier.MAX_BALL_WORK}, r clamped at the diameter."
+            f"Balls are served for 2 <= n <= {certifier.MAX_GROUP_N} while min(n, r)*r <="
+            f" {certifier.MAX_BALL_WORK}, r = t below the midpoint D/2, else max(D - 1 - t, n)."
         ),
     )
     records = argparse.ArgumentParser(add_help=False)
@@ -127,8 +127,9 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         if not 0 <= i <= top:
             print(0)
             return EXIT_OK
-        # reversal maps distance i to D - i; the work bound grows with the
-        # radius, so the nearer end is never refused where the farther is not
+        # reversal maps distance i to D - i; the nearer end's two balls
+        # measure no more than the farther end's, so it is never refused
+        # where the farther is not
         i = min(i, top - i)
     ball = certifier.ball_value(n, i)
     print(ball - (certifier.ball_value(n, i - 1) if i else 0))

@@ -42,7 +42,12 @@ def group_and_radius(draw):
 
 
 def largest_served_radius(n):
-    """The largest t with min(n, t) * t within the work bound (t clamps at D)."""
+    """A radius up to which every radius is served: a lower bound, not the edge.
+
+    It is the largest t with min(n, t) * t within the work bound (t stops
+    at D).  From the midpoint on the bound measures the reflected radius,
+    floored at n, so larger radii may be served too.
+    """
     if n * n > MAX_BALL_WORK:
         return math.isqrt(MAX_BALL_WORK)
     return min(max_distance(n), MAX_BALL_WORK // n)
@@ -53,6 +58,19 @@ def past_n_128(draw):
     """Radii above 5 for n above 128, up to the work bound."""
     n = draw(st.integers(129, MAX_GROUP_N))
     return n, draw(st.integers(6, largest_served_radius(n)))
+
+
+@st.composite
+def near_the_diameter(draw):
+    """Radii from the diameter D on, and reflected ones up to 2n + 1, for n in 129..1019.
+
+    Radii at or past D give n!; from the midpoint on the ball is n! minus
+    the reflected ball of radius D - 1 - t, which is served while
+    n * (D - 1 - t) is within the work bound.
+    """
+    n = draw(st.integers(129, 1019))
+    d = max_distance(n)
+    return n, draw(st.integers(d - 1 - min(2 * n + 1, MAX_BALL_WORK // n), d + 2))
 
 
 # Exponent verdicts are rare among random draws; these are all of them for
@@ -91,7 +109,9 @@ def single_field_mutations(cert):
 @with_exponent_verdicts
 @example((129, largest_served_radius(129)))
 @example((10000, largest_served_radius(10000)))
-@given(st.one_of(group_and_radius(), past_n_128()))
+@example((1019, max_distance(1019)))
+@example((1019, max_distance(1019) - 1021))
+@given(st.one_of(group_and_radius(), past_n_128(), near_the_diameter()))
 def test_record_roundtrip(case):
     cert = certify(*case)
     line = format_certificate(cert)
@@ -102,7 +122,9 @@ def test_record_roundtrip(case):
 
 @settings(max_examples=150, deadline=None)
 @with_exponent_verdicts
-@given(group_and_radius())
+@example((129, max_distance(129)))
+@example((1019, max_distance(1019) - 1021))
+@given(st.one_of(group_and_radius(), near_the_diameter()))
 def test_checker_rejects_every_single_field_mutation(case):
     cert = certify(*case)
     assert check_certificate(cert)

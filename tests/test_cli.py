@@ -78,8 +78,8 @@ def test_sphere_table_route_and_cap(capsys, table150):
 
 
 def test_sphere_folds_past_the_midpoint(capsys):
-    # S(n, i) = S(n, D - i): unfolded, i = 19899 at n = 200 takes 3979800
-    # steps, past the bound, while S(200, 1) takes one
+    # S(n, i) = S(n, D - i): folded, S(200, 19899) is S(200, 1), two
+    # pentagonal balls where the unfolded pair would subtract from 200!
     assert run_cli(capsys, "sphere", "--n", "200", "--i", "19899") == (EXIT_OK, "199\n", "")
     for n, i in ((13, 40), (13, 75), (13, 78), (20, 150)):
         unfolded = ball_count(n, i) - ball_count(n, i - 1)
