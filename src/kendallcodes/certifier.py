@@ -16,10 +16,13 @@ n, and the n-rough cofactor that remains.
 
 Neither n! nor a factorization of the cofactor is ever computed, and
 primality is read from a sieve, so no step rests on an unproven test.  A
-checker recomputes the ball and re-verifies its split from (n, t) alone,
-without trusting any intermediate computation, and then accepts only the
+checker re-verifies a certificate from (n, t) alone.  It checks the
+split independently of how `certify` found it, and accepts only the
 verdict and witness that the one verdict rule, shared with `certify`,
-derives from that split.
+derives from that split.  The ball it does not derive on its own: it
+takes it from the engine that `certify` used, ``ball_count``, whose
+routes the tests pin against the recurrence table and a reference
+expansion of the product.
 
 Certificates serialize to one flat key=value record per line with a fixed
 field order (record format v2), so scan output is byte-stable and
@@ -73,13 +76,13 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
 
-# A ceiling on min(n, r) * r, with r the radius ball_count expands (see
-# _check_served); its value is 128 * D(128).  Past r = n it bounds the
-# product loop's n * r steps, about 0.1 s at the edges (200, 5201) and
-# (200, 14698).  From the midpoint on it bounds the digits of n! by
-# n <= 1019 (2,625 digits).  For r <= n, where ball_count sums O(sqrt(r))
-# binomials, it caps r at 1019, and so bounds the ball's digits (1,474 at
-# n = 10000) and the cost of its n-smooth split.
+# A ceiling on min(n, r) * r with r = min(t, max(D - 1 - t, n)), the
+# radius ball_count expands (see _check_served); its value is
+# 128 * D(128).  It bounds the product loop's n * r steps, about 0.1 s at
+# the edges (200, 5201) and (200, 14698); from the midpoint on, the digits
+# of n! by n <= 1019 (2,625 digits); and for r <= n it caps r at 1019,
+# which bounds the ball's digits (1,474 at n = 10000) and the cost of its
+# n-smooth split.
 MAX_BALL_WORK = 128 * max_distance(128)
 
 
@@ -114,18 +117,18 @@ class Certificate(NamedTuple):
 def _check_served(n: int, t: int) -> None:
     """Refuse a ball outside the served range, before any work on it.
 
-    The range bounds min(n, r) * r by MAX_BALL_WORK, with r the radius
-    ``ball_count`` expands: t below the midpoint (2t < D), and from it on
-    max(D - 1 - t, n), the reflected radius floored at n because such a
-    ball has the digits of n!.  That bounds the product loop's steps for
-    r > n, and for r <= n it caps r, which bounds the ball's digits and
-    the cost of its split.
+    The range bounds min(n, r) * r by MAX_BALL_WORK, with
+    r = min(t, max(D - 1 - t, n)): the radius ``ball_count`` expands, t
+    below the midpoint and the reflected radius D - 1 - t from it on,
+    floored at n because such a ball has the digits of n!.  That bounds
+    the product loop's steps for r > n, and for r <= n it caps r, which
+    bounds the ball's digits and the cost of its split.
     """
     if not 2 <= n <= MAX_GROUP_N:
         raise ValueError(f"group size must be between 2 and {MAX_GROUP_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    r = t if 2 * t < max_distance(n) else max(max_distance(n) - 1 - t, n)
+    r = min(t, max(max_distance(n) - 1 - t, n))
     work = min(n, r) * r
     if work > MAX_BALL_WORK:
         raise ValueError(
@@ -138,10 +141,10 @@ def ball_value(n: int, t: int) -> int:
     """B(n, t) by :func:`~kendallcodes.mahonian.ball_count`, within the served range.
 
     That range is 2 <= n <= MAX_GROUP_N, t >= 0 and min(n, r) * r <=
-    MAX_BALL_WORK with r the radius ``ball_count`` expands (t below the
-    midpoint D/2, else max(D - 1 - t, n)), a bound on the ball's digits
-    and on the work of making and splitting it; radii at or beyond the
-    diameter D give the whole group, n!, served for n <= 1019.
+    MAX_BALL_WORK with r = min(t, max(D - 1 - t, n)), the radius
+    ``ball_count`` expands: a bound on the ball's digits and on the work
+    of making and splitting it.  Radii at or beyond the diameter D give
+    the whole group, n!, served for n <= 1019.
     """
     _check_served(n, t)
     return ball_count(n, t)
@@ -178,11 +181,8 @@ def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
 
     Range problems are rejected at the call, before any work.  Checking
     (n_to, t) alone is enough, so no certificate of an accepted range is
-    refused partway through: D grows with n, so a smaller group is below
-    its midpoint only if a larger one is; min(n, t) * t below the midpoint
-    and n * max(D - 1 - t, n) from it on both grow with n; and from the
-    midpoint on n <= D/2 <= t once n >= 5, so the second is at most the
-    first, while for n <= 4 it is at most 20.
+    refused partway through: n and D grow with n, so the measured radius
+    r = min(t, max(D - 1 - t, n)) does too, and so does min(n, r) * r.
     """
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
@@ -194,6 +194,12 @@ def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
 
 def check_certificate(cert: Certificate) -> bool:
     """Recompute every claim in a certificate from (n, t); False on any mismatch.
+
+    The ball comes from :func:`ball_value`, the engine :func:`certify`
+    used, so a record made by a wrong route of it would pass; the tests
+    pin those routes against the recurrence table and a reference
+    expansion of the product.  The split and the verdict are checked
+    independently of how :func:`certify` found them.
 
     Validates the ball value and its split in one walk over the smooth
     pairs: each prime is above the one before it, at most n and prime,
@@ -310,8 +316,11 @@ def parse_certificate(line: str) -> Certificate:
 
     Raises ValueError naming the ``record fields`` when the names or
     their order are wrong, and saying the record is ``not in canonical
-    form`` for any other departure from that grammar; a factorization
-    with a base below 2 or primes out of order is refused by
+    form`` for any other departure from that grammar, and for an integer
+    field with more digits than ``int()`` converts (see
+    :func:`sys.set_int_max_str_digits`), which ``format_certificate``
+    could not have printed; a factorization with a base below 2 or primes
+    out of order is refused by
     :func:`~kendallcodes.numtheory.parse_factorization`.
     """
     if _record_pattern().fullmatch(line) is None:
@@ -322,15 +331,19 @@ def parse_certificate(line: str) -> Certificate:
     # the pattern leaves no "=" or tab inside a value, so every second piece is one
     fields = line.removesuffix("\n").replace("\t", "=").split("=")
     n, t, ball, factorization, verdict, witness, exponents = fields[1::2]
-    return Certificate(
-        int(n),
-        int(t),
-        int(ball),
-        parse_factorization(factorization),
-        verdict,
-        int(witness) if witness else None,
-        tuple(map(int, exponents.split(","))) if exponents else None,
-    )
+    smooth = parse_factorization(factorization)
+    try:
+        return Certificate(
+            int(n),
+            int(t),
+            int(ball),
+            smooth,
+            verdict,
+            int(witness) if witness else None,
+            tuple(map(int, exponents.split(","))) if exponents else None,
+        )
+    except ValueError:  # more digits than int() converts, which no record prints
+        raise ValueError(f"record {line!r} is not in canonical form") from None
 
 
 def witness_factor_families(cert: Certificate) -> list[str]:

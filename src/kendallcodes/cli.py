@@ -53,7 +53,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         ),
         epilog=(
             f"Balls are served for 2 <= n <= {certifier.MAX_GROUP_N} while min(n, r)*r <="
-            f" {certifier.MAX_BALL_WORK}, r = t below the midpoint D/2, else max(D - 1 - t, n)."
+            f" {certifier.MAX_BALL_WORK}, r = min(t, max(D - 1 - t, n)) with D = n(n-1)/2."
         ),
     )
     records = argparse.ArgumentParser(add_help=False)

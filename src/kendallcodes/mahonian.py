@@ -14,16 +14,18 @@ table is built by the one-step recurrence
 implemented with running prefix sums, which covers every (n, i) uniformly.
 Single ball sizes come from :func:`ball_count`, which builds no table: the
 generating function of the balls is prod_{k<=n} (1 - q^k) / (1 - q)^(n+1),
-so B(n, r) is a sum of binomials weighted by the coefficients of Euler's
-product (Knuth, TAOCP vol. 3, section 5.1.1).  For r <= n those are the
-pentagonal signs of Euler's theorem, so the sum has O(sqrt(r)) terms.
-For n < r <= 2n + 1 the product differs from Euler's by one part above
-n, which adds one pentagonal ball of S_(n+1).  Radii at or past the
-diameter D give n!, and radii from D/2 are n! minus the ball of the
-reflected radius D - 1 - r.  Only 2n + 1 < r < D/2, empty for n <= 9,
-expands the truncated product's coefficients in O(n * r) integer
-steps.  The paper's piecewise recursions are one telescoped sum
-of window sums over smaller groups' rows, with two domains
+so B(n, r) is a sum of binomials weighted by the coefficients of the
+truncation of Euler's product (Knuth, TAOCP vol. 3, section 5.1.1).  It
+takes one of three routes.  Radii from D/2 on, D the diameter, are n!
+minus the ball of the reflected radius D - 1 - r, which is empty from D
+on.  Below D/2, radii up to 2n + 1 take Euler's pentagonal sum,
+O(sqrt(r)) binomials, plus one pentagonal ball of S_(n+1): below
+q^(2n+2) the truncation differs from Euler's product by partitions into
+one part above n, and that ball is empty for r <= n.  Only
+2n + 1 < r < D/2, empty for n <= 9, expands the truncated product's
+coefficients in O(n * r) integer steps.  The paper's piecewise
+recursions are one telescoped sum of window sums over smaller groups'
+rows, with two domains
 (`sphere_size_small_radius` for radii below n,
 `sphere_size_large_radius` for radii from n up to the midpoint), and the
 sphere closed forms for radii up to 5 are differences of the ball forms.
@@ -222,18 +224,19 @@ def ball_count(n: int, r: int) -> int:
     (1 - q)^n by one more (1 - q) turns spheres into balls.  Let E_n(r)
     be the same sum with the coefficients of Euler's infinite product:
     (-1)^k at the generalized pentagonal numbers j = k(3k -+ 1)/2 and 0
-    elsewhere, about 2 * sqrt(2r/3) + 1 terms, each one ``math.comb``.
-    With D the diameter, the radius takes one of five routes:
+    elsewhere, about 2 * sqrt(2r/3) + 1 terms, each one ``math.comb``,
+    and 0 for r < 0.  With D the diameter, the radius takes one of three
+    routes:
 
-    * r >= D: the ball is the whole group, n!;
-    * D/2 <= r < D: n! - B(n, D - 1 - r), because spheres are symmetric
-      and the complement of a ball is the ball of the reflected radius;
-    * r <= n: E_n(r), since the factors k > n start at q^(n+1);
-    * n < r <= 2n + 1: E_n(r) + E_(n+1)(r - n - 1).  The truncated product
+    * r >= D/2: n! - B(n, D - 1 - r), because spheres are symmetric and
+      the complement of a ball is the ball of the reflected radius; from
+      r = D on that radius is negative, its ball empty, and the value n!;
+    * r <= 2n + 1: E_n(r) + E_(n+1)(r - n - 1).  The truncated product
       is E(q) times the partitions into parts above n, and below
       q^(2n+2) those have at most one part, so it adds the sum of
       E_n(s) over s < r - n, which is E_(n+1)(r - n - 1) by the
-      hockey-stick identity: the pentagonal ball of S_(n+1);
+      hockey-stick identity: the pentagonal ball of S_(n+1), empty for
+      r <= n, where the factors k > n start at q^(n+1);
     * 2n + 1 < r < D/2: the truncated product's coefficients, expanded
       in O(n * r) integer steps, and a walk over r + 1 binomials.
     """
@@ -242,17 +245,13 @@ def ball_count(n: int, r: int) -> int:
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     diameter = max_distance(n)
-    if r >= diameter:
-        return math.factorial(n)
     if 2 * r >= diameter:
         return math.factorial(n) - _ball_below_midpoint(n, diameter - 1 - r)
     return _ball_below_midpoint(n, r)
 
 
 def _ball_below_midpoint(n: int, r: int) -> int:
-    """B(n, r) for 0 <= r < D/2 by the last three routes of :func:`ball_count`."""
-    if r <= n:
-        return _euler_sum(n, r)
+    """B(n, r) for r < D/2 by the last two routes of :func:`ball_count`; 0 for r < 0."""
     if r <= 2 * n + 1:
         return _euler_sum(n, r) + _euler_sum(n + 1, r - n - 1)
     coeffs = [1] + [0] * r
@@ -270,7 +269,9 @@ def _ball_below_midpoint(n: int, r: int) -> int:
 
 
 def _euler_sum(n: int, r: int) -> int:
-    """E_n(r): the sum of (-1)^k * C(n + r - j, n) over pentagonal j <= r."""
+    """E_n(r): the sum of (-1)^k * C(n + r - j, n) over pentagonal j <= r, 0 for r < 0."""
+    if r < 0:
+        return 0
     total = math.comb(n + r, n)
     k = 1
     while (j := k * (3 * k - 1) // 2) <= r:

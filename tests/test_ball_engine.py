@@ -1,18 +1,19 @@
 """The table-free ball engine at its boundaries, and the paths that use it.
 
-The engine takes one of five routes by the radius r and the diameter D:
-n! for r >= D; n! minus the ball of radius D - 1 - r for D/2 <= r < D;
-Euler's pentagonal sum for r <= n; that sum plus one pentagonal ball of
-S_(n+1) for n < r <= 2n + 1; and the truncated product in between.
-Every route and each edge between two of them is pinned against the
-recurrence table or the product's coefficient loop, kept here as a
-reference, and so are spheres whose two balls take different routes.
-Certificates and their re-checks must not build a table at all.  The
-served balls end at a fixed bound on min(n, r) * r, with r the radius the
-engine expands: t below the midpoint D/2, and from it on D - 1 - t,
-floored at n.  The bound is pinned from both sides, and the served set
-must hold every ball the former measure, r = min(t, D), served and be
-closed downward in n, as ``scan``'s single check needs.
+The engine takes one of three routes by the radius r and the diameter D:
+n! minus the ball of radius D - 1 - r for r >= D/2, which is n! from D
+on; Euler's pentagonal sum plus one pentagonal ball of S_(n+1) for
+r <= 2n + 1, that ball empty for r <= n; and the truncated product in
+between.  Every route and each edge between two of them is pinned
+against the recurrence table or the product's coefficient loop, kept
+here as a reference, and so are spheres whose two balls take different
+routes.  Certificates and their re-checks must not build a table at
+all.  The served balls end at a fixed bound on min(n, r) * r, with
+r = min(t, max(D - 1 - t, n)) the radius the engine expands.  The bound
+is pinned from both sides, and the served set must hold every ball the
+former measure, r = min(t, D), served, equal the set of the branching
+measure it restates (t below the midpoint D/2, else max(D - 1 - t, n)),
+and be closed downward in n, as ``scan``'s single check needs.
 """
 
 import math
@@ -292,6 +293,13 @@ def former_measure_serves(n, t):
     return min(n, r) * r <= MAX_BALL_WORK
 
 
+def branching_measure_serves(n, t):
+    """The 0.13.9 served range: r = t below the midpoint, else max(D - 1 - t, n)."""
+    d = max_distance(n)
+    r = t if 2 * t < d else max(d - 1 - t, n)
+    return min(n, r) * r <= MAX_BALL_WORK
+
+
 def serves(n, t):
     """Whether (n, t) is served: ``scan`` checks its last group at the call and makes nothing."""
     try:
@@ -332,6 +340,8 @@ def check_served_set(t, flags):
     assert not served or not refused or max(served) < min(refused), (t, "not closed downward in n")
     lost = [n for n in refused if former_measure_serves(n, t)]
     assert not lost, (t, "refused where the former measure served", lost)
+    moved = [n for n, ok in flags.items() if ok != branching_measure_serves(n, t)]
+    assert not moved, (t, "served otherwise than the branching measure", moved)
 
 
 # every t within 2 of D(k) or of D(k)/2, rounded down, for k <= 1100

@@ -5,6 +5,7 @@ be rejected, and every certificate the certifier emits must pass.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -559,6 +560,44 @@ def test_parse_certificate_accepts_only_the_canonical_record(good, bad):
     assert line.count(good) == 1
     with pytest.raises(ValueError, match="canonical"):
         parse_certificate(line.replace(good, bad))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on int() string conversions, restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "field, template",
+    [
+        ("n", "{}"),
+        ("t", "{}"),
+        ("ball", "{}"),
+        ("witness", "{}"),
+        ("witness_exponents", "{},1"),
+        ("witness_exponents", "2,{}"),
+    ],
+)
+def test_parse_certificate_refuses_integers_past_the_digit_limit(
+    default_digit_limit, field, template
+):
+    # format_certificate cannot print a field past the limit, so the
+    # parser refuses it as it refuses any other byte form
+    digits = "1" * (default_digit_limit + 1)
+    fields = format_certificate(certify(13, 3)).split("\t")
+    index = Certificate._fields.index(field)
+    fields[index] = f"{field}={template.format(digits)}"
+    line = "\t".join(fields)
+    with pytest.raises(ValueError, match="not in canonical form"):
+        parse_certificate(line)
+    # the line is canonical, so without the limit it parses
+    sys.set_int_max_str_digits(0)
+    parsed = parse_certificate(line)
+    assert certificate_values(parsed)[index] == template.format(digits)
 
 
 # --- annotation and pretty output --------------------------------------------
