@@ -46,6 +46,7 @@ from math import factorial  # noqa: F401
 from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
 from .numtheory import divides_factorial, factorial_valuation  # noqa: F401
 from .numtheory import (
+    FACTORIZATION_GRAMMAR,
     MAX_GROUP_N,
     Factorization,
     factorize,
@@ -282,14 +283,14 @@ def format_certificate(cert: Certificate) -> str:
 
 # Each field's canonical text, the only one format_certificate prints for
 # it: int() also reads "013", "+13", "1_3", " 13" and non-ASCII digits,
-# which would give one certificate many byte forms.
+# which would give one certificate many byte forms.  The factorization's
+# is numtheory's, the one parse_factorization reads.
 _INT = "0|-?[1-9][0-9]*"
-_FACTOR = r"[1-9][0-9]*\^[1-9][0-9]*"
 _FIELD_GRAMMAR = {
     "n": _INT,
     "t": _INT,
     "ball": _INT,
-    "factorization": rf"1|{_FACTOR}(?: \* {_FACTOR})*",
+    "factorization": FACTORIZATION_GRAMMAR,
     "verdict": "|".join(VERDICTS),
     "witness": f"(?:{_INT})?",
     "witness_exponents": f"(?:(?:{_INT}),(?:{_INT}))?",
@@ -298,8 +299,13 @@ _FIELD_GRAMMAR = {
 
 @functools.cache
 def _record_pattern() -> re.Pattern[str]:
-    """The canonical record line, compiled on first use so that importing costs nothing."""
-    fields = "\t".join(f"{name}=(?:{_FIELD_GRAMMAR[name]})" for name in RECORD_FIELDS)
+    """The canonical record line, one group per field, compiled on first use.
+
+    Compiling takes about 1 ms, which a process that only prints records
+    never pays.  No field's grammar holds a group of its own, so the
+    groups are the seven values in order.
+    """
+    fields = "\t".join(f"{name}=({_FIELD_GRAMMAR[name]})" for name in RECORD_FIELDS)
     return re.compile(fields + "\n?")
 
 
@@ -309,28 +315,29 @@ def parse_certificate(line: str) -> Certificate:
     The line must hold exactly the RECORD_FIELDS, in order, each once, and
     be the canonical record :func:`format_certificate` prints for what it
     holds, so each certificate has one byte form: integers ``0`` or
-    ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` with
-    the primes ascending, one of the three verdicts, and an empty or
-    integer witness and an empty or ``a,b`` exponent pair.  One trailing
-    newline, the line's terminator, is dropped; a second one is not.
+    ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` (the
+    grammar :func:`~kendallcodes.numtheory.parse_factorization` reads), one
+    of the three verdicts, and an empty or integer witness and an empty or
+    ``a,b`` exponent pair.  One pattern of the whole line checks that form
+    and yields the seven values.  One trailing newline, the line's
+    terminator, is dropped; a second one is not.
 
     Raises ValueError naming the ``record fields`` when the names or
-    their order are wrong, and saying the record is ``not in canonical
-    form`` for any other departure from that grammar, and for an integer
-    field with more digits than ``int()`` converts (see
+    their order are wrong, and saying the record or its factorization is
+    ``not in canonical form`` for any other departure from that grammar,
+    and for an integer with more digits than ``int()`` converts (see
     :func:`sys.set_int_max_str_digits`), which ``format_certificate``
-    could not have printed; a factorization with a base below 2 or primes
-    out of order is refused by
-    :func:`~kendallcodes.numtheory.parse_factorization`.
+    could not have printed.  A factorization whose first base is 1 or
+    whose primes do not ascend is refused by ``parse_factorization``:
+    ``primes must be at least 2 and ascending``.
     """
-    if _record_pattern().fullmatch(line) is None:
+    match = _record_pattern().fullmatch(line)
+    if match is None:
         names = [field.partition("=")[0] for field in line.removesuffix("\n").split("\t")]
         if tuple(names) != RECORD_FIELDS:
             raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
         raise ValueError(f"record {line!r} is not in canonical form")
-    # the pattern leaves no "=" or tab inside a value, so every second piece is one
-    fields = line.removesuffix("\n").replace("\t", "=").split("=")
-    n, t, ball, factorization, verdict, witness, exponents = fields[1::2]
+    n, t, ball, factorization, verdict, witness, exponents = match.groups()
     smooth = parse_factorization(factorization)
     try:
         return Certificate(

@@ -224,25 +224,31 @@ def test_parser_round_trips_every_record_it_accepts(case, index, value):
 
 
 def reference_parse_factorization(text):
-    """The reference factorization parser: strip each factor, then sort the primes to compare."""
+    """The reference factorization parser: a lenient reading, then printed back.
+
+    It strips the text and each factor and reads each base and exponent
+    with int(), which also takes signs, zeros, `_`, spaces and other
+    digits.  The text is canonical when every integer read is positive
+    and format_factorization prints what was read back as the text; only
+    then are the primes compared.
+    """
+    not_canonical = ValueError(f"factorization {text!r} is not in canonical form")
     stripped = text.strip()
-    if stripped == "1":
-        return ()
     factors = []
-    for part in stripped.split("*"):
-        piece = part.strip()
-        base, sep, exponent = piece.partition("^")
-        if not sep:
-            raise ValueError(f"missing exponent in factor {piece!r}")
-        try:
-            p, e = int(base), int(exponent)
-        except ValueError:
-            raise ValueError(f"non-integer factor {piece!r}") from None
-        if p < 2 or e < 1:
-            raise ValueError(f"invalid factor {piece!r}")
-        factors.append((p, e))
-    if [p for p, _ in factors] != sorted({p for p, _ in factors}):
-        raise ValueError(f"primes must be distinct and ascending in {text!r}")
+    if stripped != "1":
+        for part in stripped.split("*"):
+            base, sep, exponent = part.strip().partition("^")
+            if not sep:
+                raise not_canonical
+            try:
+                factors.append((int(base), int(exponent)))
+            except ValueError:
+                raise not_canonical from None
+    if format_factorization(factors) != text or any(p < 1 or e < 1 for p, e in factors):
+        raise not_canonical
+    primes = [p for p, _ in factors]
+    if primes and (primes[0] < 2 or primes != sorted(set(primes))):
+        raise ValueError(f"primes must be at least 2 and ascending in {text!r}")
     return tuple(factors)
 
 

@@ -580,6 +580,8 @@ def default_digit_limit():
         ("witness", "{}"),
         ("witness_exponents", "{},1"),
         ("witness_exponents", "2,{}"),
+        ("factorization", "{}^1"),
+        ("factorization", "2^{}"),
     ],
 )
 def test_parse_certificate_refuses_integers_past_the_digit_limit(

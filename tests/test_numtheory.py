@@ -280,7 +280,9 @@ def test_parse_factorization_roundtrip():
     for v in (1, 2, 24, 441, 3249, 1715, 1024, 210):
         factors, _ = factorize(v, v)
         assert parse_factorization(format_factorization(factors)) == factors
-    assert parse_factorization("  3^2   *  7^2 ") == ((3, 2), (7, 2))
+    # only the text format_factorization prints: no whitespace variant
+    with pytest.raises(ValueError, match="not in canonical form"):
+        parse_factorization("  3^2   *  7^2 ")
 
 
 def test_parse_factorization_rejects_malformed_text():
