@@ -131,7 +131,12 @@ def cmd_sphere(args: argparse.Namespace) -> int:
         # measure no more than the farther end's, so it is never refused
         # where the farther is not
         i = min(i, top - i)
-    ball = certifier.ball_value(n, i)
+    try:
+        ball = certifier.ball_value(n, i)
+    except ValueError as exc:
+        if i == args.i:
+            raise
+        raise ValueError(f"distance {args.i}: {exc}") from None
     print(ball - (certifier.ball_value(n, i - 1) if i else 0))
     return EXIT_OK
 

@@ -12,9 +12,10 @@ Large bounds reach many primes that almost never divide, so the sieve's
 primes are also grouped into blocks of `BLOCK_SIZE` consecutive primes,
 each with its product and the product of every prime through it, built
 at import.  One gcd with a block's product tells whether any of its
-primes divides a value: `factorize` skips a block that shares no factor,
-and `is_rough` tests every prime below a bound with one gcd against a
-running product and trial division of at most BLOCK_SIZE - 1 leftover
+primes divides a value: `factorize` skips a block that shares no factor
+and stops at the first block whose first prime squared exceeds what is
+left, and `is_rough` tests every prime below a bound with one gcd against
+a running product and trial division of at most BLOCK_SIZE - 1 leftover
 primes (Bernstein, "How to find smooth parts of integers", 2004).  Below
 the first full block both are plain trial division.
 
@@ -100,48 +101,37 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     no prime factor <= bound; ``value == cofactor * prod(p**e)``.  Raises
     ValueError for value < 1 and for a bound outside 0..MAX_GROUP_N.
 
-    Trial division, except that a full block of primes whose product is
-    coprime to what remains of ``value`` is skipped with one gcd.
+    One loop over the blocks of BLOCK_SIZE sieve primes up to ``bound``.
+    It stops at the first block whose first prime squared exceeds what is
+    left, which is then 1 or a prime.  A full block whose product is
+    coprime to what is left is skipped with one gcd; every other block is
+    trial-divided.  After the loop a lone prime up to ``bound`` joins
+    ``smooth``.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     count = _prime_count(bound)
     smooth: list[tuple[int, int]] = []
     v = value
-    start, stop = 0, count
-    for product in _BLOCK_PRODUCTS[: count // BLOCK_SIZE]:
+    for start in range(0, count, BLOCK_SIZE):
         if _PRIMES[start] ** 2 > v:
-            # v is 1 or a prime, which trial division settles at _PRIMES[start]
-            stop = start + 1
             break
-        if math.gcd(product, v) > 1:
-            v = _trial_divide(v, _PRIMES[start : start + BLOCK_SIZE], bound, smooth)
-        start += BLOCK_SIZE
-    v = _trial_divide(v, _PRIMES[start:stop], bound, smooth)
+        stop = start + BLOCK_SIZE
+        if stop <= count and math.gcd(_BLOCK_PRODUCTS[start // BLOCK_SIZE], v) == 1:
+            continue
+        for p in _PRIMES[start : min(stop, count)]:
+            if v % p == 0:
+                e = 0
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                smooth.append((p, e))
+    # a break leaves 1 or a prime, and running out leaves no prime factor
+    # <= bound, so this takes exactly a lone prime up to the bound
+    if 1 < v <= bound:
+        smooth.append((v, 1))
+        v = 1
     return tuple(smooth), v
-
-
-def _trial_divide(v: int, primes: tuple[int, ...], bound: int, smooth: list) -> int:
-    """Divide the ascending ``primes`` out of v, appending each to ``smooth``; the rest of v.
-
-    v must have no prime factor below ``primes[0]``.  Stops at the first
-    p with p * p > v, when v is 1 or a prime: a prime up to ``bound`` is
-    appended too, and 1 is returned.
-    """
-    for p in primes:
-        if p * p > v:
-            # v has no prime factor below p, so it is 1 or a prime
-            if 1 < v <= bound:
-                smooth.append((v, 1))
-                v = 1
-            break
-        if v % p == 0:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            smooth.append((p, e))
-    return v
 
 
 def is_rough(value: int, bound: int) -> bool:

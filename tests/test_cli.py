@@ -90,6 +90,15 @@ def test_sphere_folds_past_the_midpoint(capsys):
         ), (n, i)
 
 
+def test_a_folded_sphere_refusal_names_the_distance_asked_for(capsys):
+    # D(200) = 19900: distance 14698 folds to radius 5202, past the bound,
+    # while distance 5202 is refused under its own name
+    for i, head in (("14698", "distance 14698: radius 5202"), ("5202", "radius 5202")):
+        code, out, err = run_cli(capsys, "sphere", "--n", "200", "--i", i)
+        assert (code, out) == (EXIT_VALIDATION, ""), i
+        assert err.startswith(f"error: {head} at n=200 expands") and "past the bound" in err, i
+
+
 def test_sphere_rejects_tiny_group(capsys):
     code, _, err = run_cli(capsys, "sphere", "--n", "1", "--i", "0")
     assert code == EXIT_VALIDATION

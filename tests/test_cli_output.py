@@ -172,7 +172,7 @@ OUTPUT_DIGESTS = [
     ),
     (
         "sphere --n 200 --i 14698",
-        "aa86b26746f22593ff56b362311bf715e044340a5eee86e11235741292b544d4",
+        "08db7da2d48d355cd6c3d68b14f25a7e7a865d253977df0a711d9c23e7f56632",
     ),
     (
         "sphere --n 10000 --i 1019",
