@@ -75,7 +75,18 @@ NONEXISTENT_PRIME_FACTOR = "NONEXISTENT_PRIME_FACTOR"
 NONEXISTENT_NOT_DIVIDING = "NONEXISTENT_NOT_DIVIDING"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-VERDICTS = (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
+# Each verdict's pretty sentence, keyed in the order certify tries them; the
+# verdict list, and with it the record grammar's alternation, is its keys.
+_VERDICT_SENTENCES = {
+    NONEXISTENT_PRIME_FACTOR: "no perfect {t}-error-correcting code exists in S_{n}:"
+    " the cofactor {witness} divides the ball size"
+    " but has no prime factor up to n = {n}, so it cannot divide {n}!",
+    NONEXISTENT_NOT_DIVIDING: "no perfect {t}-error-correcting code exists in S_{n}:"
+    " prime {witness} divides the ball size {witness_exponents[0]}"
+    " times but {n}! only {witness_exponents[1]} times",
+    INCONCLUSIVE: "divisibility does not decide: the ball size divides {n}!",
+}
+VERDICTS = tuple(_VERDICT_SENTENCES)
 
 # A ceiling on min(n, r) * r with r = min(t, max(D - 1 - t, n)), the
 # radius ball_count expands (see _check_served); its value is
@@ -124,7 +135,15 @@ def _check_served(n: int, t: int) -> None:
     floored at n because such a ball has the digits of n!.  That bounds
     the product loop's steps for r > n, and for r <= n it caps r, which
     bounds the ball's digits and the cost of its split.
+
+    n and t must be exact ints, and this is the one such rule for them:
+    a bool or float equals the int it stands for but prints otherwise,
+    so :func:`certify` would make a record that :func:`parse_certificate`
+    refuses.  :func:`check_certificate` rejects such a record through
+    this refusal.
     """
+    if type(n) is not int or type(t) is not int:
+        raise ValueError(f"group size and radius must be ints, got n={n!r}, t={t!r}")
     if not 2 <= n <= MAX_GROUP_N:
         raise ValueError(f"group size must be between 2 and {MAX_GROUP_N}, got {n}")
     if t < 0:
@@ -219,10 +238,14 @@ def check_certificate(cert: Certificate) -> bool:
     unrecomputed: :func:`certify` never makes one, nor one of another
     shape: ``factorization`` a tuple of pairs, ``witness_exponents`` None
     or a pair, and every number an exact int (a float or bool equals the
-    int it stands for but prints otherwise).
+    int it stands for but prints otherwise).  For n and t that rule lives
+    in ``_check_served``: :func:`ball_value` refuses them, and the
+    checker returns False.  The other fields are tested before the ball
+    is made.  Any sequence of the seven fields is read, so a plain tuple
+    or list checks as the certificate it equals.
     """
     n, t, claimed, smooth, verdict, witness, exponents = cert
-    if type(n) is not int or type(t) is not int or type(claimed) is not int:
+    if type(claimed) is not int:
         return False
     if type(smooth) is not tuple or not (witness is None or type(witness) is int):
         return False
@@ -248,7 +271,7 @@ def check_certificate(cert: Certificate) -> bool:
             return False
         product *= p**e
         previous = p
-    cofactor = cert.cofactor
+    cofactor = witness if verdict == NONEXISTENT_PRIME_FACTOR else 1
     if cofactor is None or product * cofactor != ball:
         return False
     if cofactor > 1 and not (cofactor > n and is_rough(cofactor, min(n, math.isqrt(cofactor)))):
@@ -367,29 +390,17 @@ def witness_factor_families(cert: Certificate) -> list[str]:
 
 
 def format_certificate_pretty(cert: Certificate) -> str:
-    """Multi-line human-readable rendering of one certificate."""
+    """Multi-line human-readable rendering of one certificate.
+
+    The verdict's line is its sentence from the one table that lists the
+    verdicts, so a verdict outside ``VERDICTS`` raises KeyError.
+    """
     lines = [
         f"S_{cert.n}, radius {cert.t}: ball size {cert.ball},"
         f" {cert.n}-smooth part {format_factorization(cert.factorization)},"
-        f" cofactor {cert.cofactor}"
+        f" cofactor {cert.cofactor}",
+        "  " + _VERDICT_SENTENCES[cert.verdict].format_map(cert._asdict()),
     ]
-    if cert.verdict == NONEXISTENT_PRIME_FACTOR:
-        lines.append(
-            f"  no perfect {cert.t}-error-correcting code exists in S_{cert.n}:"
-            f" the cofactor {cert.witness} divides the ball size"
-            f" but has no prime factor up to n = {cert.n}, so it cannot divide {cert.n}!"
-        )
-    elif cert.verdict == NONEXISTENT_NOT_DIVIDING:
-        in_ball, allowed = cert.witness_exponents
-        lines.append(
-            f"  no perfect {cert.t}-error-correcting code exists in S_{cert.n}:"
-            f" prime {cert.witness} divides the ball size {in_ball}"
-            f" times but {cert.n}! only {allowed} times"
-        )
-    else:
-        lines.append(
-            f"  divisibility does not decide: the ball size divides {cert.n}!"
-        )
     families = witness_factor_families(cert)
     if families:
         plural = "factors" if len(families) > 1 else "factor"

@@ -166,8 +166,6 @@ def sphere_size_small_radius(table: SphereTable, n: int, i: int) -> int:
     Independent of the one-step recurrence row for n itself, so it serves
     as a cross-check of the table.
     """
-    if n < 4:
-        raise ValueError(f"defined for group sizes n >= 4, got {n}")
     if not 4 <= i <= n - 1:
         raise ValueError(f"radius must satisfy 4 <= i <= n - 1 = {n - 1}, got {i}")
     return _telescoped(table, n, i)

@@ -13,6 +13,7 @@ from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
     NONEXISTENT_PRIME_FACTOR,
+    VERDICTS,
     Certificate,
     ball_value,
     certificate_values,
@@ -112,6 +113,22 @@ def test_certify_validates_arguments():
         certify(10001, 1)
     with pytest.raises(ValueError):
         certify(5, -1)
+
+
+@pytest.mark.parametrize(
+    "n, t", [(5, True), (2, False), (True, 2), (5, 2.0), (13.0, 3), (5, "2")], ids=repr
+)
+def test_group_size_and_radius_must_be_exact_ints(n, t):
+    # a bool or float equals the int it stands for, but its record prints otherwise
+    for call in (certify, ball_value):
+        with pytest.raises(ValueError, match=rf"must be ints, got n={n!r}, t={t!r}"):
+            call(n, t)
+
+
+@pytest.mark.parametrize("t", [True, False, 2.0, "2"], ids=repr)
+def test_scan_radius_must_be_an_exact_int(t):
+    with pytest.raises(ValueError, match=rf"must be ints, got n=3, t={t!r}"):
+        scan(t, 2, 3)
 
 
 def test_every_emitted_certificate_passes_the_checker():
@@ -413,6 +430,18 @@ def test_checker_rejects_malformed_shapes(field, value):
     assert check_certificate(cert._replace(**{field: value})) is False
 
 
+@pytest.mark.parametrize("n, t", [(5, 2), (13, 3), (4, 6)])
+def test_checker_reads_a_plain_tuple_or_list(n, t):
+    # a Certificate equals the plain tuple of its seven fields, so both check alike
+    cert = certify(n, t)
+    for plain in (tuple(cert), list(cert)):
+        assert check_certificate(plain) is True
+    forged = list(cert)
+    forged[5] = 11  # a witness the split does not give
+    assert check_certificate(forged) is False
+    assert check_certificate(tuple(forged)) is False
+
+
 def test_checker_rejects_records_past_the_work_bound():
     # certify never makes such a record, so the checker refuses it unrecomputed
     cert = certify(10000, 1019)
@@ -615,6 +644,13 @@ def test_witness_factor_families():
     assert witness_factor_families(certify(5, 5)) == ["n^3+3n^2-6n-28"]  # ball 71
     # at n = 4 the radius-5 factors multiply to 11 * 4 * 60 / 5!, not B(4, 5)
     assert witness_factor_families(certify(4, 5)._replace(witness=5)) == []
+
+
+def test_a_verdict_outside_the_table_has_no_pretty_line():
+    assert VERDICTS == (NONEXISTENT_PRIME_FACTOR, NONEXISTENT_NOT_DIVIDING, INCONCLUSIVE)
+    for verdict in ("FOO", "inconclusive", ""):
+        with pytest.raises(KeyError):
+            format_certificate_pretty(certify(13, 3)._replace(verdict=verdict))
 
 
 def test_format_certificate_pretty():
