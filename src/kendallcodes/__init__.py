@@ -46,6 +46,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__version__ = "0.14.2"
+__version__ = "0.14.3"
 
 __all__ = [*certifier.__all__, *mahonian.__all__, *numtheory.__all__, *_ORACLE_EXPORTS]

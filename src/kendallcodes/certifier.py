@@ -199,11 +199,15 @@ def certify(n: int, t: int) -> Certificate:
 def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
     """One certificate per n in [n_from, n_to], in order, each made as it is consumed.
 
-    Range problems are rejected at the call, before any work.  Checking
-    (n_to, t) alone is enough, so no certificate of an accepted range is
-    refused partway through: n and D grow with n, so the measured radius
-    r = min(t, max(D - 1 - t, n)) does too, and so does min(n, r) * r.
+    Range problems are rejected at the call, before any work.  n_from
+    must be an exact int, as n and t must be for :func:`certify`.
+    Checking (n_to, t) alone is enough, so no certificate of an accepted
+    range is refused partway through: n and D grow with n, so the
+    measured radius r = min(t, max(D - 1 - t, n)) does too, and so does
+    min(n, r) * r.
     """
+    if type(n_from) is not int:
+        raise ValueError(f"first group size must be an int, got n_from={n_from!r}")
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
     if n_to < n_from:
@@ -242,9 +246,13 @@ def check_certificate(cert: Certificate) -> bool:
     in ``_check_served``: :func:`ball_value` refuses them, and the
     checker returns False.  The other fields are tested before the ball
     is made.  Any sequence of the seven fields is read, so a plain tuple
-    or list checks as the certificate it equals.
+    or list checks as the certificate it equals; anything else, such as
+    None or a sequence of another length, is False.
     """
-    n, t, claimed, smooth, verdict, witness, exponents = cert
+    try:
+        n, t, claimed, smooth, verdict, witness, exponents = cert
+    except (TypeError, ValueError):  # not iterable, or not seven fields
+        return False
     if type(claimed) is not int:
         return False
     if type(smooth) is not tuple or not (witness is None or type(witness) is int):

@@ -15,21 +15,27 @@ reader closed standard output early (``| head``).  All
 numeric output is exact decimal; records (format v2) are stable
 byte-for-byte for fixed inputs, so they can be diffed and archived.
 Verdicts come from the n-smooth split of the ball, which always
-completes, so no budget can leave a verdict open.  An argv that starts
-with a subcommand's name is parsed by that subcommand's parser alone,
-with the same result, messages and exit codes as the full parser.
+completes, so no budget can leave a verdict open.  One table,
+``_GRAMMAR``, states every subcommand and option.  An argv made of a
+subcommand's name and then pairs of one of its flags, spelled out and
+given once, and a value (an ASCII integer within the int-to-str digit
+limit, or one of the flag's choices), with every required flag present,
+is read from that table directly.  Every other argv (help, ``--``,
+``--n=5``, abbreviations, repeats, other spellings of an integer, a
+missing option or an unknown token) goes to argparse, imported and
+built from the same table only then, so its messages and exit codes are
+argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
-from gettext import gettext
 from itertools import accumulate
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import certifier, mahonian
 
@@ -39,88 +45,15 @@ EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what shells report
 
+if TYPE_CHECKING:
+    import argparse
+    from typing import Union
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser, by name."""
-    # parsing leaves the parsers unchanged, so one build serves every call
-    parser = argparse.ArgumentParser(
-        prog="kendallcodes",
-        description=(
-            "Exact sphere and ball sizes in the symmetric group under the "
-            "Kendall tau metric, and divisibility certificates against "
-            "perfect permutation codes."
-        ),
-        epilog=(
-            f"Balls are served for 2 <= n <= {certifier.MAX_GROUP_N} while min(n, r)*r <="
-            f" {certifier.MAX_BALL_WORK}, r = min(t, max(D - 1 - t, n)) with D = n(n-1)/2."
-        ),
-    )
-    records = argparse.ArgumentParser(add_help=False)
-    records.add_argument(
-        "--format",
-        choices=("tsv", "records", "pretty"),
-        default="records",
-        help="output style (default: records)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sphere", help="count permutations at distance i")
-    p.add_argument("--n", type=int, required=True, help="group size")
-    p.add_argument("--i", type=int, required=True, help="distance (out of range gives 0)")
-    p.set_defaults(func=cmd_sphere)
-
-    p = sub.add_parser("ball", help="count permutations within distance r")
-    p.add_argument("--n", type=int, required=True, help="group size")
-    p.add_argument("--r", type=int, required=True, help="radius (clamps at the diameter)")
-    p.set_defaults(func=cmd_ball)
-
-    p = sub.add_parser("certify", parents=[records], help="divisibility verdict for one (n, t)")
-    p.add_argument("--n", type=int, required=True, help="group size")
-    p.add_argument("--t", type=int, required=True, help="error-correction radius")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("scan", parents=[records], help="certify a range of group sizes")
-    p.add_argument("--t", type=int, required=True, help="error-correction radius")
-    p.add_argument("--from", dest="n_from", type=int, required=True, help="first group size")
-    p.add_argument("--to", dest="n_to", type=int, required=True, help="last group size")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("table", help="stream sphere/ball sizes as TSV")
-    largest = f"largest group size (at most {mahonian.MAX_TABLE_N})"
-    p.add_argument("--max-n", type=int, required=True, help=largest)
-    p.add_argument("--max-r", type=int, help="largest distance per group size")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="brute-force cross-checks for one n")
-    p.add_argument("--n", type=int, required=True, help="group size (at most 10)")
-    p.set_defaults(func=cmd_verify)
-    return parser, sub.choices
+    # what a command reads: the table reader's namespace or argparse's
+    Args = Union[SimpleNamespace, argparse.Namespace]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line's full grammar, built once per process."""
-    return _parsers()[0]
-
-
-# A call that names its subcommand first goes straight to that
-# subcommand's parser: the top-level parser's nested pass over the same
-# tokens cost more than the certificate the call prints.  The full parser
-# stays the single grammar; the subcommand parsers are its own, and every
-# other argv (empty, -h, --, an unknown command) is parsed by it whole.
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    parser, commands = _parsers()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    return args
-
-
-def cmd_sphere(args: argparse.Namespace) -> int:
+def cmd_sphere(args: Args) -> int:
     n, i = args.n, args.i
     if 2 <= n <= certifier.MAX_GROUP_N:
         top = mahonian.max_distance(n)
@@ -141,7 +74,7 @@ def cmd_sphere(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ball(args: argparse.Namespace) -> int:
+def cmd_ball(args: Args) -> int:
     print(certifier.ball_value(args.n, args.r))
     return EXIT_OK
 
@@ -164,15 +97,15 @@ def _emit_certificates(certs: Iterable[certifier.Certificate], fmt: str) -> int:
     return code
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def cmd_certify(args: Args) -> int:
     return _emit_certificates([certifier.certify(args.n, args.t)], args.format)
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: Args) -> int:
     return _emit_certificates(certifier.scan(args.t, args.n_from, args.n_to), args.format)
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: Args) -> int:
     # checked here, so a refused table writes nothing; the lines come joined
     # column by column a row at a time, and one write per line keeps the
     # output streaming (one full row is over 16 MB at n = 256)
@@ -183,7 +116,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: Args) -> int:
     # imported here: no other subcommand needs the brute force, and a
     # one-shot process should not pay for loading it
     from . import oracle
@@ -214,6 +147,173 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report("exhaustive single-error code search agrees with the certificate", consistent)
     print(("OK" if failures == 0 else "FAILED") + f" verify n={n}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+
+
+_FORMAT = (
+    "--format",
+    "format",
+    False,
+    ("tsv", "records", "pretty"),
+    "records",
+    "output style (default: records)",
+)
+
+# The command line's one grammar, which _read_args and build_parser both
+# read.  A subcommand is (name, help, function, options), and an option is
+# (flag, dest, required, int or its choices, default, help), in the order
+# argparse lists them.
+_GRAMMAR = (
+    (
+        "sphere",
+        "count permutations at distance i",
+        cmd_sphere,
+        (
+            ("--n", "n", True, int, None, "group size"),
+            ("--i", "i", True, int, None, "distance (out of range gives 0)"),
+        ),
+    ),
+    (
+        "ball",
+        "count permutations within distance r",
+        cmd_ball,
+        (
+            ("--n", "n", True, int, None, "group size"),
+            ("--r", "r", True, int, None, "radius (clamps at the diameter)"),
+        ),
+    ),
+    (
+        "certify",
+        "divisibility verdict for one (n, t)",
+        cmd_certify,
+        (
+            _FORMAT,
+            ("--n", "n", True, int, None, "group size"),
+            ("--t", "t", True, int, None, "error-correction radius"),
+        ),
+    ),
+    (
+        "scan",
+        "certify a range of group sizes",
+        cmd_scan,
+        (
+            _FORMAT,
+            ("--t", "t", True, int, None, "error-correction radius"),
+            ("--from", "n_from", True, int, None, "first group size"),
+            ("--to", "n_to", True, int, None, "last group size"),
+        ),
+    ),
+    (
+        "table",
+        "stream sphere/ball sizes as TSV",
+        cmd_table,
+        (
+            (
+                "--max-n",
+                "max_n",
+                True,
+                int,
+                None,
+                f"largest group size (at most {mahonian.MAX_TABLE_N})",
+            ),
+            ("--max-r", "max_r", False, int, None, "largest distance per group size"),
+        ),
+    ),
+    (
+        "verify",
+        "brute-force cross-checks for one n",
+        cmd_verify,
+        (("--n", "n", True, int, None, "group size (at most 10)"),),
+    ),
+)
+
+# for each subcommand: its function, each flag's dest and kind, the dests
+# it requires and every dest's default
+_READER = {
+    name: (
+        func,
+        {flag: (dest, kind) for flag, dest, _, kind, _, _ in options},
+        frozenset(dest for _, dest, required, _, _, _ in options if required),
+        {dest: default for _, dest, _, _, default, _ in options},
+    )
+    for name, _, func, options in _GRAMMAR
+}
+
+
+def _read_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """argv's namespace if it is ``<command> (--flag value)*`` as _GRAMMAR
+    spells it, else None.
+
+    Each flag must be one of the subcommand's, spelled out and given
+    once, each int ``-?[0-9]+`` in ASCII within the int-to-str digit
+    limit, each choice one of its choices, and every required flag
+    present.  The namespace's ``vars()`` are then argparse's for the same
+    argv: ``command``, ``func`` and every dest, with its default if not
+    given.  Nothing is printed or refused here.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in _READER:
+        return None
+    func, options, required, defaults = _READER[argv[0]]
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in options:
+            return None
+        dest, kind = options[flag]
+        if dest in values:
+            return None
+        if kind is int:
+            digits = text.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(text)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif text in kind:
+            value = text
+        else:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(command=argv[0], **{**defaults, **values}, func=func)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's full grammar as argparse, built from _GRAMMAR once per process."""
+    # imported here: a well-formed argv never needs it, and importing and
+    # building it costs a one-shot process more than its answer
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="kendallcodes",
+        description=(
+            "Exact sphere and ball sizes in the symmetric group under the "
+            "Kendall tau metric, and divisibility certificates against "
+            "perfect permutation codes."
+        ),
+        epilog=(
+            f"Balls are served for 2 <= n <= {certifier.MAX_GROUP_N} while min(n, r)*r <="
+            f" {certifier.MAX_BALL_WORK}, r = min(t, max(D - 1 - t, n)) with D = n(n-1)/2."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, func, options in _GRAMMAR:
+        p = sub.add_parser(name, help=text)
+        for flag, dest, required, kind, default, line in options:
+            typed = {"type": int} if kind is int else {"choices": kind}
+            p.add_argument(flag, dest=dest, required=required, default=default, help=line, **typed)
+        p.set_defaults(func=func)
+    return parser
+
+
+# The table reader answers the argv that scripts and sweeps send; argparse
+# reads the rest whole, with the top-level parser, so its help, usage lines,
+# messages and exit codes are its own.  It is imported and built only then.
+def _parse_args(argv: Optional[Sequence[str]]) -> Args:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

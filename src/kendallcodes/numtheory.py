@@ -29,6 +29,7 @@ n! is the sum of floor(n/p^k) over k >= 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -192,10 +193,18 @@ def format_factorization(factors: Iterable[tuple[int, int]]) -> str:
 # and only those: no sign, zero padding, `_`, other digits or spaces, all of
 # which int() would also read.  The certifier's record grammar embeds it.
 FACTORIZATION_GRAMMAR = r"1|[1-9][0-9]*\^[1-9][0-9]*(?: \* [1-9][0-9]*\^[1-9][0-9]*)*"
-# Compiled at import, in about 0.4 ms: every record read back parses its
-# factorization, and re.fullmatch's lookup of the pattern string would cost
-# about as much again as the match itself.
-_FACTORIZATION = re.compile(FACTORIZATION_GRAMMAR)
+
+
+@functools.cache
+def _factorization_pattern() -> re.Pattern[str]:
+    """FACTORIZATION_GRAMMAR compiled on first use.
+
+    Compiling takes about 0.3 ms, which a process that only prints
+    records never pays; once compiled, every record read back reuses it,
+    where re.fullmatch's lookup of the pattern string would cost about as
+    much again as the match itself.
+    """
+    return re.compile(FACTORIZATION_GRAMMAR)
 
 
 def parse_factorization(text: str) -> Factorization:
@@ -212,7 +221,7 @@ def parse_factorization(text: str) -> Factorization:
     """
     if text == "1":
         return ()
-    if _FACTORIZATION.fullmatch(text) is None:
+    if _factorization_pattern().fullmatch(text) is None:
         raise ValueError(f"factorization {text!r} is not in canonical form")
     factors = []
     previous = 1

@@ -131,6 +131,12 @@ def test_scan_radius_must_be_an_exact_int(t):
         scan(t, 2, 3)
 
 
+@pytest.mark.parametrize("n_from", [True, False, 2.0, "2", None], ids=repr)
+def test_scan_first_group_size_must_be_an_exact_int(n_from):
+    with pytest.raises(ValueError, match=rf"must be an int, got n_from={n_from!r}"):
+        scan(2, n_from, 5)
+
+
 def test_every_emitted_certificate_passes_the_checker():
     cases = [(5, 2), (13, 3), (26, 3), (13, 4), (4, 6), (7, 1), (9, 0), (2, 2)]
     for n, t in cases:
@@ -440,6 +446,14 @@ def test_checker_reads_a_plain_tuple_or_list(n, t):
     forged[5] = 11  # a witness the split does not give
     assert check_certificate(forged) is False
     assert check_certificate(tuple(forged)) is False
+
+
+def test_checker_refuses_anything_but_seven_fields():
+    # the checker never raises: what does not unpack into seven fields is False
+    cert = tuple(certify(13, 3))
+    for bad in (cert[:6], (*cert, None), (), None, 7, "abc", "abcdefg", iter(cert[:6])):
+        assert check_certificate(bad) is False, bad
+    assert check_certificate(iter(cert)) is True
 
 
 def test_checker_rejects_records_past_the_work_bound():

@@ -13,7 +13,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kendallcodes
@@ -560,9 +560,12 @@ REQUIRED = {
     "verify": ("--n",),
 }
 COMMANDS = tuple(REQUIRED)
-NUMBERS = ("5", "-3", "0")
+# numbers (one negative), then spellings at the table reader's edges:
+# ASCII digits it reads itself, int() spellings it leaves to argparse, and
+# an empty value and one digit past the int-to-str limit, which argparse refuses
+NUMBERS = ("5", "-3", "0", "05", "-0", "+5", "1_0", "\u0663", "", "1" * 4301)
 # every option string of every subcommand, an abbreviation, the choices,
-# numbers (one negative) and tokens no parser knows
+# numbers and tokens no parser knows
 TOKENS = (
     *COMMANDS,
     *("--n", "--i", "--r", "--t", "--from", "--to", "--max-n", "--max-r", "--format"),
@@ -571,14 +574,22 @@ TOKENS = (
     *("--jobs", "x"),
 )
 ARGV = st.lists(st.sampled_from(TOKENS), max_size=8)
+# an option with its value: a second --n or --format repeats one, --max-r
+# is table's one optional int, and xml is no format
+OPTION_PIECES = st.one_of(
+    st.tuples(st.sampled_from(("--n", "--max-r")), st.sampled_from(NUMBERS)),
+    st.tuples(st.just("--format"), st.sampled_from(("tsv", "records", "pretty", "xml"))),
+)
 
 
 @st.composite
 def command_lines(draw):
-    """A subcommand's required options, each with a number, and a few
-    tokens, in any order after the subcommand's name."""
+    """A subcommand's required options, each with a number, up to two
+    more options with values, and a few tokens, in any order after the
+    subcommand's name."""
     name = draw(st.sampled_from(COMMANDS))
     pieces = [[option, draw(st.sampled_from(NUMBERS))] for option in REQUIRED[name]]
+    pieces += [list(piece) for piece in draw(st.lists(OPTION_PIECES, max_size=2))]
     pieces += [[token] for token in draw(st.lists(st.sampled_from(TOKENS), max_size=3))]
     return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
 
@@ -587,6 +598,63 @@ def command_lines(draw):
 @given(st.one_of(ARGV, command_lines()))
 def test_dispatch_parses_as_the_full_parser_does(argv):
     # parsing only: no command runs
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+@st.composite
+def well_formed_lines(draw):
+    """A subcommand's required options and some of its others, each once,
+    with an ASCII integer or one of its choices, in any order."""
+    name, _, _, options = draw(st.sampled_from(cli._GRAMMAR))
+    integers = st.from_regex(r"-?[0-9]+", fullmatch=True)
+    pieces = [
+        [flag, draw(integers if kind is int else st.sampled_from(kind))]
+        for flag, _, required, kind, _, _ in options
+        if required or draw(st.booleans())
+    ]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(well_formed_lines())
+@example(["ball", "--n", "9" * 4300, "--r", "-0"])
+@example(["table", "--max-r", "007", "--max-n", "5"])
+def test_the_table_reader_takes_every_well_formed_line(argv):
+    args = cli._read_args(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "13", "--t", "3", "--format", "xml"],
+        ["certify", "--n", "13", "--t", "3", "--format", "tsv", "--format", "pretty"],
+        ["certify", "--n", "13", "--t", "3", "--n", "5"],
+        ["certify", "--n=13", "--t=3"],
+        ["certify", "--fo", "tsv", "--n", "13", "--t", "3"],
+        ["certify", "--n", "13"],
+        ["certify", "--n", "13", "--t"],
+        ["certify", "--n", "--t", "--t", "3"],
+        ["certify", "--", "--n", "13", "--t", "3"],
+        ["certify", "--n", "13", "--t", "3", "-h"],
+        ["certify", "--n", "13", "--t", "3", "--jobs", "2"],
+        ["ball", "--n", "+13", "--r", "3"],
+        ["ball", "--n", "1_3", "--r", "3"],
+        ["ball", "--n", "\u0661\u0663", "--r", "3"],
+        ["ball", "--n", " 13", "--r", "3"],
+        ["ball", "--n", "--13", "--r", "3"],
+        ["ball", "--n", "", "--r", "3"],
+        ["ball", "--n", "1" * 4301, "--r", "3"],
+        ["table", "--max-n", "4", "--max-r", "x"],
+        ["ball", "--format", "tsv", "--n", "5", "--r", "3"],
+        ["Ball", "--n", "5", "--r", "3"],
+        ["--n", "5"],
+        [],
+    ],
+)
+def test_the_table_reader_leaves_every_other_line_to_argparse(argv):
+    assert cli._read_args(argv) is None
     assert parse_outcome(cli._parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
 
 

@@ -21,21 +21,40 @@ import contextlib, io, sys
 from kendallcodes import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["certify", "--n", "13", "--t", "3"])
-print(code, "dataclasses" in sys.modules, "kendallcodes.oracle" in sys.modules)
+print(
+    code,
+    "dataclasses" in sys.modules,
+    "kendallcodes.oracle" in sys.modules,
+    "argparse" in sys.modules,
+)
 import kendallcodes
 print(kendallcodes.search_perfect_code.__module__, "kendallcodes.oracle" in sys.modules)
 """
 
-# a one-shot certify, then whether the record pattern was compiled, before
-# and after one record is parsed
+# a one-shot certify, then whether the record and factorization patterns
+# were compiled, before and after one record is parsed
 COLD_CERTIFY_PATTERN = """
 import contextlib, io
-from kendallcodes import certifier, cli
+from kendallcodes import certifier, cli, numtheory
+def compiled():
+    return (
+        certifier._record_pattern.cache_info().currsize,
+        numtheory._factorization_pattern.cache_info().currsize,
+    )
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["certify", "--n", "13", "--t", "3"])
-print(code, certifier._record_pattern.cache_info().currsize)
+print(code, *compiled())
 certifier.parse_certificate(out.getvalue())
-print(certifier._record_pattern.cache_info().currsize)
+print(*compiled())
+"""
+
+# a one-shot command from argv, then whether it imported argparse
+COLD_COMMAND = """
+import contextlib, io, sys
+from kendallcodes import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "argparse" in sys.modules)
 """
 
 
@@ -91,7 +110,7 @@ def test_certify_loads_neither_dataclasses_nor_the_oracle():
         timeout=60,
         check=True,
     )
-    assert done.stdout.splitlines() == ["0 False False", "kendallcodes.oracle True"]
+    assert done.stdout.splitlines() == ["0 False False False", "kendallcodes.oracle True"]
 
 
 def test_certify_never_compiles_the_record_pattern():
@@ -104,7 +123,34 @@ def test_certify_never_compiles_the_record_pattern():
         timeout=60,
         check=True,
     )
-    assert done.stdout.splitlines() == ["0 0", "1"]
+    assert done.stdout.splitlines() == ["0 0 0", "1 1"]
+
+
+def test_one_shot_commands_import_argparse_only_when_the_table_reader_declines():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cases = [
+        (("scan", "--t", "3", "--from", "4", "--to", "6"), False),
+        (("scan", "--format", "tsv", "--t", "3", "--from", "4", "--to", "6"), False),
+        (("ball", "--n", "13", "--r", "3"), False),
+        (("sphere", "--n", "13", "--i", "3"), False),
+        (("table", "--max-n", "4"), False),
+        (("table", "--max-r", "2", "--max-n", "4"), False),
+        # argparse still reads what the table reader leaves to it
+        (("certify", "--n=13", "--t=3"), True),
+        (("ball", "--n", "+13", "--r", "3"), True),
+    ]
+    seen = []
+    for argv, _ in cases:
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", COLD_COMMAND, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        seen.append((argv, done.stdout))
+    assert seen == [(argv, f"0 {imports}\n") for argv, imports in cases]
 
 
 def test_unknown_attribute_is_an_attribute_error():
