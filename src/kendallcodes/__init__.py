@@ -15,19 +15,20 @@ primality and factorial divisibility without n! (``math.factorial``
 serves the few places that need n! itself), and ``oracle`` brute-force
 ground truth for small n: the Kendall distance between permutations in
 one-line notation, distance histograms of S_n and an exhaustive
-perfect-code search.  ``oracle`` is imported the first time one of its
-names is read from the package, so a process that never asks for it
-never loads it.  The package exports the ``__all__`` of ``certifier``,
-``mahonian`` and ``numtheory``, then the six names of ``oracle``.
+perfect-code search.
+
+A one-shot record needs little of this, so what it does not run loads on
+first use: ``table`` (the inversion-count rows and everything that reads
+them), ``checker`` (reading records back and re-checking them) and
+``oracle``.  The package exports the ``__all__`` of ``certifier``,
+``mahonian`` and ``numtheory``, then the six names of ``oracle``, and
+resolves each through a module ``__getattr__`` (PEP 562): the first read
+takes it from the module that lists it, which may in turn load its home,
+and binds it here, so later reads are plain lookups.
 """
 
 from . import certifier, mahonian, numtheory
-from .certifier import *  # noqa: F403
-from .mahonian import *  # noqa: F403
-from .numtheory import *  # noqa: F403
 
-# oracle's brute force serves only cross-checks, so it loads on first use
-# (PEP 562); `from kendallcodes import *` resolves these through __getattr__
 _ORACLE_EXPORTS = (
     "CodeSearchResult",
     "ball_census",
@@ -39,13 +40,17 @@ _ORACLE_EXPORTS = (
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_EXPORTS:
-        from . import oracle
+    for module in (certifier, mahonian, numtheory):
+        if name in module.__all__:
+            break
+    else:
+        if name not in _ORACLE_EXPORTS:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import oracle as module
+    value = globals()[name] = getattr(module, name)
+    return value
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__version__ = "0.14.3"
+__version__ = "0.14.4"
 
 __all__ = [*certifier.__all__, *mahonian.__all__, *numtheory.__all__, *_ORACLE_EXPORTS]

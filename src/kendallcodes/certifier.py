@@ -15,46 +15,37 @@ n, and the n-rough cofactor that remains.
   (INCONCLUSIVE).
 
 Neither n! nor a factorization of the cofactor is ever computed, and
-primality is read from a sieve, so no step rests on an unproven test.  A
-checker re-verifies a certificate from (n, t) alone.  It checks the
-split independently of how `certify` found it, and accepts only the
-verdict and witness that the one verdict rule, shared with `certify`,
-derives from that split.  The ball it does not derive on its own: it
-takes it from the engine that `certify` used, ``ball_count``, whose
-routes the tests pin against the recurrence table and a reference
-expansion of the product.
+primality is read from a sieve, so no step rests on an unproven test.
 
 Certificates serialize to one flat key=value record per line with a fixed
 field order (record format v2), so scan output is byte-stable and
-diffable.  A record line is read back only in that one canonical byte
-form, which one regular expression of the whole line states field by
-field.
+diffable.  Reading a record back and re-checking a certificate from
+(n, t) alone is :mod:`kendallcodes.checker`'s work, which a process that
+only prints records never needs: ``parse_certificate`` and
+``check_certificate`` are still read here, through a module
+``__getattr__`` (PEP 562) that imports ``checker`` on the first read and
+binds the name in this module, so later reads are plain lookups.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import re
 from typing import Iterator, NamedTuple, Optional
 
-from .mahonian import BALL_FORM_FACTORS, BALL_FORM_MIN_N, ball_count, max_distance
+from .mahonian import ball_count, max_distance
 
 # Not used here: the benchmark's per-layer tracer wraps these names at this
-# site, so they stay importable from here but are in no __all__.
+# site, so they stay importable from here but are in no __all__.  The
+# table's three resolve through __getattr__, as the checker's do.
 from math import factorial  # noqa: F401
-from .mahonian import ball_closed_form, ball_size, build_table  # noqa: F401
 from .numtheory import divides_factorial, factorial_valuation  # noqa: F401
+from .numtheory import is_probable_prime, parse_factorization  # noqa: F401
 from .numtheory import (
-    FACTORIZATION_GRAMMAR,
     MAX_GROUP_N,
     Factorization,
     factorize,
     format_factorization,
-    is_probable_prime,
-    is_rough,
     legendre_exponent,
-    parse_factorization,
 )
 
 __all__ = [
@@ -70,6 +61,27 @@ __all__ = [
     "parse_certificate",
     "scan",
 ]
+
+# each name read here but defined in a module that loads on first use
+_LAZY_HOMES = {
+    "check_certificate": "checker",
+    "parse_certificate": "checker",
+    "ball_closed_form": "table",
+    "ball_size": "table",
+    "build_table": "table",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY_HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if home == "checker":
+        from . import checker as module
+    else:
+        from . import table as module
+    value = globals()[name] = getattr(module, name)
+    return value
 
 NONEXISTENT_PRIME_FACTOR = "NONEXISTENT_PRIME_FACTOR"
 NONEXISTENT_NOT_DIVIDING = "NONEXISTENT_NOT_DIVIDING"
@@ -200,91 +212,22 @@ def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
     """One certificate per n in [n_from, n_to], in order, each made as it is consumed.
 
     Range problems are rejected at the call, before any work.  n_from
-    must be an exact int, as n and t must be for :func:`certify`.
-    Checking (n_to, t) alone is enough, so no certificate of an accepted
-    range is refused partway through: n and D grow with n, so the
-    measured radius r = min(t, max(D - 1 - t, n)) does too, and so does
-    min(n, r) * r.
+    and n_to must be exact ints, as n and t must be for :func:`certify`,
+    before they are compared.  Checking (n_to, t) alone is then enough,
+    so no certificate of an accepted range is refused partway through: n
+    and D grow with n, so the measured radius
+    r = min(t, max(D - 1 - t, n)) does too, and so does min(n, r) * r.
     """
     if type(n_from) is not int:
         raise ValueError(f"first group size must be an int, got n_from={n_from!r}")
+    if type(n_to) is not int:
+        raise ValueError(f"last group size must be an int, got n_to={n_to!r}")
     if n_from < 2:
         raise ValueError(f"scan starts at group size 2, got {n_from}")
     if n_to < n_from:
         raise ValueError(f"empty scan range [{n_from}, {n_to}]")
     _check_served(n_to, t)
     return (certify(n, t) for n in range(n_from, n_to + 1))
-
-
-def check_certificate(cert: Certificate) -> bool:
-    """Recompute every claim in a certificate from (n, t); False on any mismatch.
-
-    The ball comes from :func:`ball_value`, the engine :func:`certify`
-    used, so a record made by a wrong route of it would pass; the tests
-    pin those routes against the recurrence table and a reference
-    expansion of the product.  The split and the verdict are checked
-    independently of how :func:`certify` found them.
-
-    Validates the ball value and its split in one walk over the smooth
-    pairs: each prime is above the one before it, at most n and prime,
-    each exponent is at least 1 and at most the ball's bit length (a
-    larger power cannot divide it, so it is refused unbuilt), and the
-    same walk multiplies out the smooth part.  That part times the
-    cofactor must be the ball, and a cofactor above 1 must exceed n and
-    have no prime factor up to min(n, sqrt(cofactor)), by
-    :func:`~kendallcodes.numtheory.is_rough`: one gcd with the product of
-    the sieve's full blocks of primes below that bound and trial division
-    by the few primes past them, not :func:`factorize`'s block skipping.
-    The verdict and witness must then be the ones :func:`certify` derives
-    from that split.  n! is never built.
-
-    A record outside the range :func:`ball_value` serves is rejected
-    unrecomputed: :func:`certify` never makes one, nor one of another
-    shape: ``factorization`` a tuple of pairs, ``witness_exponents`` None
-    or a pair, and every number an exact int (a float or bool equals the
-    int it stands for but prints otherwise).  For n and t that rule lives
-    in ``_check_served``: :func:`ball_value` refuses them, and the
-    checker returns False.  The other fields are tested before the ball
-    is made.  Any sequence of the seven fields is read, so a plain tuple
-    or list checks as the certificate it equals; anything else, such as
-    None or a sequence of another length, is False.
-    """
-    try:
-        n, t, claimed, smooth, verdict, witness, exponents = cert
-    except (TypeError, ValueError):  # not iterable, or not seven fields
-        return False
-    if type(claimed) is not int:
-        return False
-    if type(smooth) is not tuple or not (witness is None or type(witness) is int):
-        return False
-    if exponents is not None and not (
-        type(exponents) is tuple and len(exponents) == 2 and all(type(e) is int for e in exponents)
-    ):
-        return False
-    try:
-        ball = ball_value(n, t)
-    except ValueError:
-        return False
-    if claimed != ball:
-        return False
-    bits = ball.bit_length()
-    product = previous = 1
-    for pair in smooth:
-        if type(pair) is not tuple or len(pair) != 2:
-            return False
-        p, e = pair
-        if type(p) is not int or type(e) is not int:
-            return False
-        if not (previous < p <= n and is_probable_prime(p) and 1 <= e <= bits):
-            return False
-        product *= p**e
-        previous = p
-    cofactor = witness if verdict == NONEXISTENT_PRIME_FACTOR else 1
-    if cofactor is None or product * cofactor != ball:
-        return False
-    if cofactor > 1 and not (cofactor > n and is_rough(cofactor, min(n, math.isqrt(cofactor)))):
-        return False
-    return (verdict, witness, exponents) == _verdict(n, smooth, cofactor)
 
 
 RECORD_FIELDS = Certificate._fields
@@ -312,85 +255,16 @@ def format_certificate(cert: Certificate) -> str:
     return _RECORD_TEMPLATE % certificate_values(cert)
 
 
-# Each field's canonical text, the only one format_certificate prints for
-# it: int() also reads "013", "+13", "1_3", " 13" and non-ASCII digits,
-# which would give one certificate many byte forms.  The factorization's
-# is numtheory's, the one parse_factorization reads.
-_INT = "0|-?[1-9][0-9]*"
-_FIELD_GRAMMAR = {
-    "n": _INT,
-    "t": _INT,
-    "ball": _INT,
-    "factorization": FACTORIZATION_GRAMMAR,
-    "verdict": "|".join(VERDICTS),
-    "witness": f"(?:{_INT})?",
-    "witness_exponents": f"(?:(?:{_INT}),(?:{_INT}))?",
-}
-
-
-@functools.cache
-def _record_pattern() -> re.Pattern[str]:
-    """The canonical record line, one group per field, compiled on first use.
-
-    Compiling takes about 1 ms, which a process that only prints records
-    never pays.  No field's grammar holds a group of its own, so the
-    groups are the seven values in order.
-    """
-    fields = "\t".join(f"{name}=({_FIELD_GRAMMAR[name]})" for name in RECORD_FIELDS)
-    return re.compile(fields + "\n?")
-
-
-def parse_certificate(line: str) -> Certificate:
-    """Rebuild a certificate from its record line.
-
-    The line must hold exactly the RECORD_FIELDS, in order, each once, and
-    be the canonical record :func:`format_certificate` prints for what it
-    holds, so each certificate has one byte form: integers ``0`` or
-    ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` (the
-    grammar :func:`~kendallcodes.numtheory.parse_factorization` reads), one
-    of the three verdicts, and an empty or integer witness and an empty or
-    ``a,b`` exponent pair.  One pattern of the whole line checks that form
-    and yields the seven values.  One trailing newline, the line's
-    terminator, is dropped; a second one is not.
-
-    Raises ValueError naming the ``record fields`` when the names or
-    their order are wrong, and saying the record or its factorization is
-    ``not in canonical form`` for any other departure from that grammar,
-    and for an integer with more digits than ``int()`` converts (see
-    :func:`sys.set_int_max_str_digits`), which ``format_certificate``
-    could not have printed.  A factorization whose first base is 1 or
-    whose primes do not ascend is refused by ``parse_factorization``:
-    ``primes must be at least 2 and ascending``.
-    """
-    match = _record_pattern().fullmatch(line)
-    if match is None:
-        names = [field.partition("=")[0] for field in line.removesuffix("\n").split("\t")]
-        if tuple(names) != RECORD_FIELDS:
-            raise ValueError(f"record fields {names} are not {list(RECORD_FIELDS)}")
-        raise ValueError(f"record {line!r} is not in canonical form")
-    n, t, ball, factorization, verdict, witness, exponents = match.groups()
-    smooth = parse_factorization(factorization)
-    try:
-        return Certificate(
-            int(n),
-            int(t),
-            int(ball),
-            smooth,
-            verdict,
-            int(witness) if witness else None,
-            tuple(map(int, exponents.split(","))) if exponents else None,
-        )
-    except ValueError:  # more digits than int() converts, which no record prints
-        raise ValueError(f"record {line!r} is not in canonical form") from None
-
-
 def witness_factor_families(cert: Certificate) -> list[str]:
     """Which polynomial factors of the closed-form ball share a prime with the witness.
 
     The factors are the ``BALL_FORM_FACTORS`` of radius t, read only where
     their product is the ball (n at least ``BALL_FORM_MIN_N[t]``); empty
-    otherwise, and without a witness.
+    otherwise, and without a witness.  They are the table module's, which
+    loads here on the first call.
     """
+    from .table import BALL_FORM_FACTORS, BALL_FORM_MIN_N
+
     n, t = cert.n, cert.t
     if cert.witness is None or t not in BALL_FORM_FACTORS or n < BALL_FORM_MIN_N[t]:
         return []

@@ -108,7 +108,8 @@ def cmd_scan(args: Args) -> int:
 def cmd_table(args: Args) -> int:
     # checked here, so a refused table writes nothing; the lines come joined
     # column by column a row at a time, and one write per line keeps the
-    # output streaming (one full row is over 16 MB at n = 256)
+    # output streaming (one full row is over 16 MB at n = 256).  Reading the
+    # name from mahonian loads the table module, as in cmd_verify.
     lines = mahonian.table_tsv_lines(args.max_n, args.max_r)
     write = sys.stdout.write
     for line in lines:
@@ -118,7 +119,8 @@ def cmd_table(args: Args) -> int:
 
 def cmd_verify(args: Args) -> int:
     # imported here: no other subcommand needs the brute force, and a
-    # one-shot process should not pay for loading it
+    # one-shot process should not pay for loading it; the table module
+    # loads on the first read of mahonian.build_table below
     from . import oracle
 
     n = args.n

@@ -137,6 +137,13 @@ def test_scan_first_group_size_must_be_an_exact_int(n_from):
         scan(2, n_from, 5)
 
 
+@pytest.mark.parametrize("n_to", [True, False, 5.0, "5", None], ids=repr)
+def test_scan_last_group_size_must_be_an_exact_int(n_to):
+    # checked before n_to is compared with n_from: a str or None raised TypeError
+    with pytest.raises(ValueError, match=rf"must be an int, got n_to={n_to!r}"):
+        scan(2, 2, n_to)
+
+
 def test_every_emitted_certificate_passes_the_checker():
     cases = [(5, 2), (13, 3), (26, 3), (13, 4), (4, 6), (7, 1), (9, 0), (2, 2)]
     for n, t in cases:

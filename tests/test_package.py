@@ -1,6 +1,8 @@
 """The package's public surface: every exported name resolves, one version."""
 
 import ast
+import importlib
+import json
 import os
 import re
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import kendallcodes
-from kendallcodes import certifier, mahonian, numtheory
+from kendallcodes import certifier, checker, mahonian, numtheory, table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,19 +28,23 @@ print(
     "dataclasses" in sys.modules,
     "kendallcodes.oracle" in sys.modules,
     "argparse" in sys.modules,
+    "kendallcodes.checker" in sys.modules,
+    "kendallcodes.table" in sys.modules,
 )
 import kendallcodes
 print(kendallcodes.search_perfect_code.__module__, "kendallcodes.oracle" in sys.modules)
 """
 
-# a one-shot certify, then whether the record and factorization patterns
-# were compiled, before and after one record is parsed
+# a one-shot certify, then whether the checker was loaded and the record and
+# factorization patterns compiled, before and after one record is parsed
 COLD_CERTIFY_PATTERN = """
-import contextlib, io
+import contextlib, io, sys
 from kendallcodes import certifier, cli, numtheory
 def compiled():
+    checker = sys.modules.get("kendallcodes.checker")
     return (
-        certifier._record_pattern.cache_info().currsize,
+        checker is not None,
+        checker and checker._record_pattern.cache_info().currsize,
         numtheory._factorization_pattern.cache_info().currsize,
     )
 with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -48,14 +54,90 @@ certifier.parse_certificate(out.getvalue())
 print(*compiled())
 """
 
-# a one-shot command from argv, then whether it imported argparse
+# a one-shot command from argv, then whether it imported argparse, the
+# checker and the table module
 COLD_COMMAND = """
 import contextlib, io, sys
 from kendallcodes import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "argparse" in sys.modules)
+print(
+    code,
+    "argparse" in sys.modules,
+    "kendallcodes.checker" in sys.modules,
+    "kendallcodes.table" in sys.modules,
+)
 """
+
+# every name read through a module __getattr__, with the module that defines it
+FORWARDED = {
+    "kendallcodes.certifier": {
+        "check_certificate": "kendallcodes.checker",
+        "parse_certificate": "kendallcodes.checker",
+        "ball_closed_form": "kendallcodes.table",
+        "ball_size": "kendallcodes.table",
+        "build_table": "kendallcodes.table",
+    },
+    "kendallcodes.mahonian": {
+        name: "kendallcodes.table"
+        for name in (
+            "BALL_FORM_FACTORS",
+            "BALL_FORM_MIN_N",
+            "BallSize",
+            "SphereTable",
+            "TSV_HEADER",
+            "ball_closed_form",
+            "ball_size",
+            "build_table",
+            "rows",
+            "sphere_closed_form",
+            "sphere_size",
+            "sphere_size_large_radius",
+            "sphere_size_small_radius",
+            "table_tsv_lines",
+        )
+    },
+}
+
+# the package resolves every export from the module that lists it
+FORWARDED["kendallcodes"] = {
+    **{name: home.__name__ for home in (certifier, mahonian, numtheory) for name in home.__all__},
+    **dict.fromkeys(kendallcodes._ORACLE_EXPORTS, "kendallcodes.oracle"),
+}
+
+# in a fresh interpreter: each forwarded name is unbound before its first
+# read and bound after it, to the object its home module holds; a moved
+# class or function names the module it moved to
+COLD_FORWARDING = """
+import importlib, json, sys
+wrong = []
+for where, names in json.loads(sys.argv[1]).items():
+    module = importlib.import_module(where)
+    for name, home in names.items():
+        before = name in vars(module)
+        value = getattr(module, name)
+        if before or vars(module).get(name) is not value:
+            wrong.append([where, name])
+        elif getattr(importlib.import_module(home), name) is not value:
+            wrong.append([where, name, home])
+        elif where != "kendallcodes" and getattr(value, "__module__", home) != home:
+            wrong.append([where, name, value.__module__])
+print(json.dumps(wrong))
+"""
+
+
+def run_cold(script, *argv):
+    """stdout of ``script`` run with ``argv`` in a bare interpreter (-S) on src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    return done.stdout
 
 
 def test_star_import_resolves_every_export():
@@ -66,7 +148,9 @@ def test_star_import_resolves_every_export():
 
 
 @pytest.mark.parametrize(
-    "module", [certifier, mahonian, numtheory], ids=["certifier", "mahonian", "numtheory"]
+    "module",
+    [certifier, mahonian, numtheory, checker, table],
+    ids=["certifier", "mahonian", "numtheory", "checker", "table"],
 )
 def test_star_import_binds_exactly_the_module_surface(module):
     namespace = {}
@@ -101,33 +185,18 @@ def test_package_surface_is_the_module_surfaces_in_order():
 
 
 def test_certify_loads_neither_dataclasses_nor_the_oracle():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_CERTIFY],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-        check=True,
-    )
-    assert done.stdout.splitlines() == ["0 False False False", "kendallcodes.oracle True"]
+    assert run_cold(COLD_CERTIFY).splitlines() == [
+        "0 False False False False False",
+        "kendallcodes.oracle True",
+    ]
 
 
 def test_certify_never_compiles_the_record_pattern():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_CERTIFY_PATTERN],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-        check=True,
-    )
-    assert done.stdout.splitlines() == ["0 0 0", "1 1"]
+    # the pattern lives in the checker, which parsing the first record loads
+    assert run_cold(COLD_CERTIFY_PATTERN).splitlines() == ["0 False None 0", "True 1 1"]
 
 
 def test_one_shot_commands_import_argparse_only_when_the_table_reader_declines():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     cases = [
         (("scan", "--t", "3", "--from", "4", "--to", "6"), False),
         (("scan", "--format", "tsv", "--t", "3", "--from", "4", "--to", "6"), False),
@@ -139,22 +208,37 @@ def test_one_shot_commands_import_argparse_only_when_the_table_reader_declines()
         (("certify", "--n=13", "--t=3"), True),
         (("ball", "--n", "+13", "--r", "3"), True),
     ]
-    seen = []
-    for argv, _ in cases:
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", COLD_COMMAND, *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-            check=True,
-        )
-        seen.append((argv, done.stdout))
-    assert seen == [(argv, f"0 {imports}\n") for argv, imports in cases]
+    seen = [(argv, run_cold(COLD_COMMAND, *argv).split()[:2]) for argv, _ in cases]
+    assert seen == [(argv, ["0", str(imports)]) for argv, imports in cases]
+
+
+def test_one_shot_commands_load_the_table_module_only_for_table_and_verify():
+    # (argv, checker loaded, table loaded); no command reads a record back
+    cases = [
+        (("certify", "--n", "13", "--t", "3"), False, False),
+        (("certify", "--format", "tsv", "--n", "13", "--t", "3"), False, False),
+        (("scan", "--t", "3", "--from", "4", "--to", "6"), False, False),
+        (("ball", "--n", "13", "--r", "3"), False, False),
+        (("sphere", "--n", "13", "--i", "3"), False, False),
+        (("table", "--max-n", "4"), False, True),
+        (("verify", "--n", "4"), False, True),
+        # the pretty form names the closed form's factors, which the table states
+        (("certify", "--format", "pretty", "--n", "13", "--t", "3"), False, True),
+    ]
+    seen = [(argv, run_cold(COLD_COMMAND, *argv).split()[2:]) for argv, _, _ in cases]
+    assert seen == [(argv, [str(checks), str(tables)]) for argv, checks, tables in cases]
+
+
+def test_forwarded_names_are_bound_on_first_read_to_their_home_object():
+    assert run_cold(COLD_FORWARDING, json.dumps(FORWARDED)) == "[]\n"
 
 
 def test_unknown_attribute_is_an_attribute_error():
-    assert not hasattr(kendallcodes, "no_such_export")
+    # the three modules that forward names must not forward unknown ones
+    for module in (kendallcodes, certifier, mahonian):
+        for name in ("no_such_export", "_telescoped", "checker_module", "__wrapped__"):
+            with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+                getattr(module, name)
 
 
 def test_version_matches_pyproject():
