@@ -20,37 +20,58 @@ perfect-code search.
 A one-shot record needs little of this, so what it does not run loads on
 first use: ``table`` (the inversion-count rows and everything that reads
 them), ``checker`` (reading records back and re-checking them) and
-``oracle``.  The package exports the ``__all__`` of ``certifier``,
-``mahonian`` and ``numtheory``, then the six names of ``oracle``, and
-resolves each through a module ``__getattr__`` (PEP 562): the first read
-takes it from the module that lists it, which may in turn load its home,
-and binds it here, so later reads are plain lookups.
+``oracle``.  The package binds the ``__all__`` of ``certifier``,
+``mahonian`` and ``numtheory`` at import, and resolves the exports of
+the other three through a module ``__getattr__`` (PEP 562) and one map
+from each name to its module: the first read imports that module and
+binds the name here, so later reads are plain lookups.  ``dir()`` lists
+them from the same map and imports nothing.  ``certifier`` and
+``mahonian`` forward a few such names the same way, for the benchmark
+only.
 """
 
 from . import certifier, mahonian, numtheory
+from .certifier import *  # noqa: F403
+from .mahonian import *  # noqa: F403
+from .numtheory import *  # noqa: F403
 
-_ORACLE_EXPORTS = (
-    "CodeSearchResult",
-    "ball_census",
-    "inversion_histogram",
-    "kendall_distance",
-    "search_perfect_code",
-    "verify_min_distance",
-)
+# each export of a module that loads on first use, with that module
+_LAZY_HOMES = {
+    "check_certificate": "checker",
+    "parse_certificate": "checker",
+    "BallSize": "table",
+    "SphereTable": "table",
+    "ball_closed_form": "table",
+    "ball_size": "table",
+    "build_table": "table",
+    "sphere_closed_form": "table",
+    "sphere_size": "table",
+    "sphere_size_large_radius": "table",
+    "sphere_size_small_radius": "table",
+    "table_tsv_lines": "table",
+    "CodeSearchResult": "oracle",
+    "ball_census": "oracle",
+    "inversion_histogram": "oracle",
+    "kendall_distance": "oracle",
+    "search_perfect_code": "oracle",
+    "verify_min_distance": "oracle",
+}
 
 
 def __getattr__(name: str):
-    for module in (certifier, mahonian, numtheory):
-        if name in module.__all__:
-            break
-    else:
-        if name not in _ORACLE_EXPORTS:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        from . import oracle as module
-    value = globals()[name] = getattr(module, name)
+    home = _LAZY_HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
     return value
 
 
-__version__ = "0.14.4"
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_HOMES})
 
-__all__ = [*certifier.__all__, *mahonian.__all__, *numtheory.__all__, *_ORACLE_EXPORTS]
+
+__version__ = "0.15.0"
+
+__all__ = [*certifier.__all__, *mahonian.__all__, *numtheory.__all__, *_LAZY_HOMES]

@@ -21,10 +21,15 @@ Certificates serialize to one flat key=value record per line with a fixed
 field order (record format v2), so scan output is byte-stable and
 diffable.  Reading a record back and re-checking a certificate from
 (n, t) alone is :mod:`kendallcodes.checker`'s work, which a process that
-only prints records never needs: ``parse_certificate`` and
-``check_certificate`` are still read here, through a module
-``__getattr__`` (PEP 562) that imports ``checker`` on the first read and
-binds the name in this module, so later reads are plain lookups.
+only prints records never needs, so it loads on first use.
+
+This module keeps some names only for the benchmark, which reads them
+here and whose tracer wraps them here; none is in its ``__all__``.  The
+checker's ``parse_certificate`` and ``check_certificate`` and the
+table's ``ball_closed_form``, ``ball_size`` and ``build_table`` are
+forwarded as the package forwards its lazy exports, and ``factorial``,
+``divides_factorial``, ``factorial_valuation``, ``is_probable_prime``
+and ``parse_factorization`` are imported unused.
 """
 
 from __future__ import annotations
@@ -34,9 +39,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .mahonian import ball_count, max_distance
 
-# Not used here: the benchmark's per-layer tracer wraps these names at this
-# site, so they stay importable from here but are in no __all__.  The
-# table's three resolve through __getattr__, as the checker's do.
+# Not used here: the benchmark's tracer wraps them at this site.
 from math import factorial  # noqa: F401
 from .numtheory import divides_factorial, factorial_valuation  # noqa: F401
 from .numtheory import is_probable_prime, parse_factorization  # noqa: F401
@@ -55,14 +58,12 @@ __all__ = [
     "NONEXISTENT_PRIME_FACTOR",
     "ball_value",
     "certify",
-    "check_certificate",
     "format_certificate",
     "format_certificate_pretty",
-    "parse_certificate",
     "scan",
 ]
 
-# each name read here but defined in a module that loads on first use
+# the checker's and the table's names that the benchmark reads here
 _LAZY_HOMES = {
     "check_certificate": "checker",
     "parse_certificate": "checker",
@@ -76,12 +77,11 @@ def __getattr__(name: str):
     home = _LAZY_HOMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if home == "checker":
-        from . import checker as module
-    else:
-        from . import table as module
-    value = globals()[name] = getattr(module, name)
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
     return value
+
 
 NONEXISTENT_PRIME_FACTOR = "NONEXISTENT_PRIME_FACTOR"
 NONEXISTENT_NOT_DIVIDING = "NONEXISTENT_NOT_DIVIDING"

@@ -12,8 +12,7 @@ derive on its own: it takes it from the engine that ``certify`` used,
 and a reference expansion of the product.
 
 A process that only prints records runs none of this, so it loads on
-first use: ``certifier`` and the package resolve its two names when they
-are first read there.
+first use (see the package's docstring).
 """
 
 from __future__ import annotations
@@ -23,21 +22,21 @@ import math
 import re
 
 from . import certifier, numtheory
-from .certifier import NONEXISTENT_PRIME_FACTOR, RECORD_FIELDS, VERDICTS, Certificate, _verdict
-from .numtheory import FACTORIZATION_GRAMMAR, is_rough, parse_factorization
+from .certifier import RECORD_FIELDS, VERDICTS, Certificate, _verdict
+from .numtheory import is_rough, parse_factorization
 
 __all__ = ["check_certificate", "parse_certificate"]
 
 # Each field's canonical text, the only one format_certificate prints for
 # it: int() also reads "013", "+13", "1_3", " 13" and non-ASCII digits,
-# which would give one certificate many byte forms.  The factorization's
-# is numtheory's, the one parse_factorization reads.
+# which would give one certificate many byte forms.  The factorization is
+# any text without a tab here; parse_factorization alone decides it.
 _INT = "0|-?[1-9][0-9]*"
 _FIELD_GRAMMAR = {
     "n": _INT,
     "t": _INT,
     "ball": _INT,
-    "factorization": FACTORIZATION_GRAMMAR,
+    "factorization": r"[^\t]*",
     "verdict": "|".join(VERDICTS),
     "witness": f"(?:{_INT})?",
     "witness_exponents": f"(?:(?:{_INT}),(?:{_INT}))?",
@@ -62,12 +61,13 @@ def parse_certificate(line: str) -> Certificate:
     The line must hold exactly the RECORD_FIELDS, in order, each once, and
     be the canonical record ``format_certificate`` prints for what it
     holds, so each certificate has one byte form: integers ``0`` or
-    ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` (the
-    grammar :func:`~kendallcodes.numtheory.parse_factorization` reads), one
-    of the three verdicts, and an empty or integer witness and an empty or
-    ``a,b`` exponent pair.  One pattern of the whole line checks that form
-    and yields the seven values.  One trailing newline, the line's
-    terminator, is dropped; a second one is not.
+    ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` (what
+    :func:`~kendallcodes.numtheory.parse_factorization` reads), one of the
+    three verdicts, and an empty or integer witness and an empty or
+    ``a,b`` exponent pair.  One pattern of the whole line checks the form
+    of every field but the factorization, which ``parse_factorization``
+    checks, and yields the seven values.  One trailing newline, the
+    line's terminator, is dropped; a second one is not.
 
     Raises ValueError naming the ``record fields`` when the names or
     their order are wrong, and saying the record or its factorization is
@@ -115,8 +115,8 @@ def check_certificate(cert: Certificate) -> bool:
     pairs: each prime is above the one before it, at most n and prime,
     each exponent is at least 1 and at most the ball's bit length (a
     larger power cannot divide it, so it is refused unbuilt), and the
-    same walk multiplies out the smooth part.  That part times the
-    cofactor must be the ball, and a cofactor above 1 must exceed n and
+    same walk multiplies out the smooth part.  That part must divide the
+    ball, and the cofactor, their quotient, must be 1 or exceed n and
     have no prime factor up to min(n, sqrt(cofactor)), by
     :func:`~kendallcodes.numtheory.is_rough`: one gcd with the product of
     the sieve's full blocks of primes below that bound and trial division
@@ -165,8 +165,8 @@ def check_certificate(cert: Certificate) -> bool:
             return False
         product *= p**e
         previous = p
-    cofactor = witness if verdict == NONEXISTENT_PRIME_FACTOR else 1
-    if cofactor is None or product * cofactor != ball:
+    cofactor, remainder = divmod(ball, product)
+    if remainder:
         return False
     if cofactor > 1 and not (cofactor > n and is_rough(cofactor, min(n, math.isqrt(cofactor)))):
         return False

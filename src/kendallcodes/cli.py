@@ -106,11 +106,13 @@ def cmd_scan(args: Args) -> int:
 
 
 def cmd_table(args: Args) -> int:
-    # checked here, so a refused table writes nothing; the lines come joined
-    # column by column a row at a time, and one write per line keeps the
-    # output streaming (one full row is over 16 MB at n = 256).  Reading the
-    # name from mahonian loads the table module, as in cmd_verify.
-    lines = mahonian.table_tsv_lines(args.max_n, args.max_r)
+    # imported here, as no other one-shot command needs the table module.
+    # Checked at the call, so a refused table writes nothing; the lines come
+    # joined column by column a row at a time, and one write per line keeps
+    # the output streaming (one full row is over 16 MB at n = 256).
+    from .table import table_tsv_lines
+
+    lines = table_tsv_lines(args.max_n, args.max_r)
     write = sys.stdout.write
     for line in lines:
         write(line + "\n")
@@ -119,8 +121,9 @@ def cmd_table(args: Args) -> int:
 
 def cmd_verify(args: Args) -> int:
     # imported here: no other subcommand needs the brute force, and a
-    # one-shot process should not pay for loading it; the table module
-    # loads on the first read of mahonian.build_table below
+    # one-shot process should not pay for loading it.  The table module
+    # loads on the first read of mahonian.build_table below, which stays
+    # there because the benchmark's tracer counts table cells at that site
     from . import oracle
 
     n = args.n

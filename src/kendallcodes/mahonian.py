@@ -21,54 +21,26 @@ one part above n, and that ball is empty for r <= n.  Only
 coefficients in O(n * r) integer steps.  ``ball_count`` has no limit on n.
 
 The rows themselves, the paper's recursions and closed forms, and the TSV
-export are in :mod:`kendallcodes.table`, which no certificate needs.  Its
-names are still read here, through a module ``__getattr__`` (PEP 562):
-the first read imports ``table`` and binds the name in this module, so a
-process that only certifies never loads it and later reads are plain
-lookups.  MAX_TABLE_N, the largest group size the table serves, stays
-here, because the command line's help states it.
+export are in :mod:`kendallcodes.table`, which no certificate needs and
+which loads on first use.  This module keeps three of its names only for
+the benchmark, which reads them here and whose tracer wraps them here:
+``ball_closed_form``, ``ball_size`` and ``build_table``.  They are
+forwarded as the package forwards its lazy exports and are in no
+``__all__`` here; ``cli``'s ``verify`` reads ``build_table`` here, so the
+tracer sees that call.  MAX_TABLE_N, the largest group size the table
+serves, stays here, because the command line's help states it.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "BallSize",
-    "SphereTable",
-    "ball_closed_form",
-    "ball_count",
-    "ball_size",
-    "build_table",
-    "max_distance",
-    "sphere_closed_form",
-    "sphere_size",
-    "sphere_size_large_radius",
-    "sphere_size_small_radius",
-    "table_tsv_lines",
-]
+__all__ = ["ball_count", "max_distance"]
 
 MAX_TABLE_N = 256
 
-# every name that ``table`` defines and this module served before it
-_TABLE_NAMES = frozenset(
-    (
-        "BALL_FORM_FACTORS",
-        "BALL_FORM_MIN_N",
-        "BallSize",
-        "SphereTable",
-        "TSV_HEADER",
-        "ball_closed_form",
-        "ball_size",
-        "build_table",
-        "rows",
-        "sphere_closed_form",
-        "sphere_size",
-        "sphere_size_large_radius",
-        "sphere_size_small_radius",
-        "table_tsv_lines",
-    )
-)
+# the table's names that the benchmark reads, and its tracer wraps, here
+_TABLE_NAMES = frozenset(("ball_closed_form", "ball_size", "build_table"))
 
 
 def __getattr__(name: str):

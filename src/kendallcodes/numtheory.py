@@ -189,35 +189,31 @@ def format_factorization(factors: Iterable[tuple[int, int]]) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-# Every text format_factorization prints for positive bases and exponents,
-# and only those: no sign, zero padding, `_`, other digits or spaces, all of
-# which int() would also read.  The certifier's record grammar embeds it.
-FACTORIZATION_GRAMMAR = r"1|[1-9][0-9]*\^[1-9][0-9]*(?: \* [1-9][0-9]*\^[1-9][0-9]*)*"
-
-
 @functools.cache
 def _factorization_pattern() -> re.Pattern[str]:
-    """FACTORIZATION_GRAMMAR compiled on first use.
+    """Every text format_factorization prints but ``1``, compiled on first use.
 
-    Compiling takes about 0.3 ms, which a process that only prints
-    records never pays; once compiled, every record read back reuses it,
-    where re.fullmatch's lookup of the pattern string would cost about as
-    much again as the match itself.
+    Positive bases and exponents only: no sign, zero padding, `_`, other
+    digits or spaces, all of which int() would also read.  Compiling
+    takes about 0.3 ms, which a process that only prints records never
+    pays; once compiled, every record read back reuses it, where
+    re.fullmatch's lookup of the pattern string would cost about as much
+    again as the match itself.
     """
-    return re.compile(FACTORIZATION_GRAMMAR)
+    return re.compile(r"[1-9][0-9]*\^[1-9][0-9]*(?: \* [1-9][0-9]*\^[1-9][0-9]*)*")
 
 
 def parse_factorization(text: str) -> Factorization:
     """Read back what :func:`format_factorization` prints; no primality test.
 
-    The text must match ``FACTORIZATION_GRAMMAR`` exactly: ``1``, or
-    ``p^e`` factors joined by ``" * "`` with each base and exponent a
-    positive integer without leading zeros.  Raises ValueError saying
-    the text is ``not in canonical form`` for any other text, and for an
-    integer with more digits than ``int()`` converts (see
-    :func:`sys.set_int_max_str_digits`); and ``primes must be at least 2
-    and ascending`` for a first base of 1 or a base not above the one
-    before it.
+    The text must be exactly ``1``, or ``p^e`` factors joined by
+    ``" * "`` with each base and exponent a positive integer without
+    leading zeros; this is the only check of a record's factorization
+    field.  Raises ValueError saying the text is ``not in canonical
+    form`` for any other text, and for an integer with more digits than
+    ``int()`` converts (see :func:`sys.set_int_max_str_digits`); and
+    ``primes must be at least 2 and ascending`` for a first base of 1 or
+    a base not above the one before it.
     """
     if text == "1":
         return ()

@@ -28,10 +28,9 @@ by column (index, sphere and ball text) and joins each line in one
 every full row, for the brute-force cross-checks.  The cost of a full
 table grows roughly as n^4, and MAX_TABLE_N bounds it.
 
-No certificate or record needs this module, so it loads on first use:
-``mahonian`` and ``certifier`` resolve its names when they are first
-read there, which on the command line happens only for ``table``,
-``verify`` and the pretty form's closed-form factors.
+No certificate or record needs this module, so it loads on first use
+(see the package's docstring), which on the command line happens only
+for ``table``, ``verify`` and the pretty form's closed-form factors.
 """
 
 from __future__ import annotations

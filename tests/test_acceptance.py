@@ -17,22 +17,22 @@ from kendallcodes.certifier import (
     check_certificate,
     scan,
 )
-from kendallcodes.mahonian import (
-    BALL_FORM_MIN_N,
-    ball_closed_form,
-    ball_size,
-    build_table,
-    max_distance,
-    sphere_closed_form,
-    sphere_size,
-    sphere_size_large_radius,
-)
+from kendallcodes.mahonian import max_distance
 from kendallcodes.numtheory import divides_factorial, factorize, is_probable_prime
 from kendallcodes.oracle import (
     EXHAUSTED_NONE,
     inversion_histogram,
     kendall_distance,
     search_perfect_code,
+)
+from kendallcodes.table import (
+    BALL_FORM_MIN_N,
+    ball_closed_form,
+    ball_size,
+    build_table,
+    sphere_closed_form,
+    sphere_size,
+    sphere_size_large_radius,
 )
 
 

@@ -10,12 +10,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kendallcodes.mahonian import (
+from kendallcodes.mahonian import ball_count, max_distance
+from kendallcodes.table import (
     BALL_FORM_MIN_N,
     ball_closed_form,
-    ball_count,
     ball_size,
-    max_distance,
     sphere_size_large_radius,
     sphere_size_small_radius,
 )

@@ -33,7 +33,8 @@ from kendallcodes.cli import (
     build_parser,
     main,
 )
-from kendallcodes.mahonian import MAX_TABLE_N, ball_count, sphere_size
+from kendallcodes.mahonian import MAX_TABLE_N, ball_count
+from kendallcodes.table import sphere_size
 
 
 def run_cli(capsys, *argv):

@@ -11,13 +11,12 @@ from itertools import zip_longest
 
 import pytest
 
-from kendallcodes import mahonian
-from kendallcodes.mahonian import (
+from kendallcodes import table as mahonian
+from kendallcodes.mahonian import ball_count, max_distance
+from kendallcodes.table import (
     ball_closed_form,
-    ball_count,
     ball_size,
     build_table,
-    max_distance,
     rows,
     sphere_closed_form,
     sphere_size,

@@ -69,7 +69,9 @@ print(
 )
 """
 
-# every name read through a module __getattr__, with the module that defines it
+# every name read through a module __getattr__, with the module that defines
+# it: the eight that the benchmark reads at an old home, then the package's
+# lazy exports (its eager ones are bound at import)
 FORWARDED = {
     "kendallcodes.certifier": {
         "check_certificate": "kendallcodes.checker",
@@ -79,31 +81,44 @@ FORWARDED = {
         "build_table": "kendallcodes.table",
     },
     "kendallcodes.mahonian": {
-        name: "kendallcodes.table"
-        for name in (
-            "BALL_FORM_FACTORS",
-            "BALL_FORM_MIN_N",
-            "BallSize",
-            "SphereTable",
-            "TSV_HEADER",
-            "ball_closed_form",
-            "ball_size",
-            "build_table",
-            "rows",
-            "sphere_closed_form",
-            "sphere_size",
-            "sphere_size_large_radius",
-            "sphere_size_small_radius",
-            "table_tsv_lines",
-        )
+        "ball_closed_form": "kendallcodes.table",
+        "ball_size": "kendallcodes.table",
+        "build_table": "kendallcodes.table",
+    },
+    "kendallcodes": {
+        name: f"kendallcodes.{home}" for name, home in kendallcodes._LAZY_HOMES.items()
     },
 }
 
-# the package resolves every export from the module that lists it
-FORWARDED["kendallcodes"] = {
-    **{name: home.__name__ for home in (certifier, mahonian, numtheory) for name in home.__all__},
-    **dict.fromkeys(kendallcodes._ORACLE_EXPORTS, "kendallcodes.oracle"),
-}
+ORACLE_EXPORTS = [
+    "CodeSearchResult",
+    "ball_census",
+    "inversion_histogram",
+    "kendall_distance",
+    "search_perfect_code",
+    "verify_min_distance",
+]
+
+# in a fresh interpreter: the package's exports bound at import, whether
+# dir() lists every export, then whether any lazy module was loaded
+COLD_PACKAGE = """
+import json, sys
+import kendallcodes
+unbound = [name for name in kendallcodes.__all__ if name not in vars(kendallcodes)]
+listed = dir(kendallcodes)
+print(json.dumps(unbound))
+print(json.dumps([name for name in kendallcodes.__all__ if name not in listed]))
+print(json.dumps([m for m in ("checker", "table", "oracle") if "kendallcodes." + m in sys.modules]))
+"""
+
+# star-imports of the two modules that forward names, then whether either
+# lazy module was loaded
+COLD_STAR_IMPORTS = """
+import sys
+from kendallcodes.certifier import *
+from kendallcodes.mahonian import *
+print("kendallcodes.checker" in sys.modules, "kendallcodes.table" in sys.modules)
+"""
 
 # in a fresh interpreter: each forwarded name is unbound before its first
 # read and bound after it, to the object its home module holds; a moved
@@ -179,9 +194,28 @@ def test_package_surface_is_the_module_surfaces_in_order():
         *certifier.__all__,
         *mahonian.__all__,
         *numtheory.__all__,
-        *kendallcodes._ORACLE_EXPORTS,
+        *kendallcodes._LAZY_HOMES,
     ]
     assert len(set(kendallcodes.__all__)) == len(kendallcodes.__all__)
+
+
+def test_lazy_exports_are_the_surfaces_of_the_lazy_modules():
+    assert kendallcodes._LAZY_HOMES == {
+        **dict.fromkeys(checker.__all__, "checker"),
+        **dict.fromkeys(table.__all__, "table"),
+        **dict.fromkeys(ORACLE_EXPORTS, "oracle"),
+    }
+
+
+def test_dir_lists_every_export_and_loads_no_lazy_module():
+    unbound, unlisted, loaded = map(json.loads, run_cold(COLD_PACKAGE).splitlines())
+    assert unbound == list(kendallcodes._LAZY_HOMES)
+    assert unlisted == []
+    assert loaded == []
+
+
+def test_star_imports_of_the_forwarding_modules_load_no_lazy_module():
+    assert run_cold(COLD_STAR_IMPORTS) == "False False\n"
 
 
 def test_certify_loads_neither_dataclasses_nor_the_oracle():
