@@ -19,37 +19,28 @@ primality is read from a sieve, so no step rests on an unproven test.
 
 Certificates serialize to one flat key=value record per line with a fixed
 field order (record format v2), so scan output is byte-stable and
-diffable.  Reading a record back and re-checking a certificate from
-(n, t) alone is :mod:`kendallcodes.checker`'s work, which a process that
-only prints records never needs, so it loads on first use.
+diffable.  This module writes that text.  Reading a record back and
+re-checking a certificate from (n, t) alone is
+:mod:`kendallcodes.checker`'s work, which a process that only prints
+records never needs, so it loads on first use.
 
 This module keeps some names only for the benchmark, which reads them
-here and whose tracer wraps them here; none is in its ``__all__``.  The
-checker's ``parse_certificate`` and ``check_certificate`` and the
-table's ``ball_closed_form``, ``ball_size`` and ``build_table`` are
-forwarded as the package forwards its lazy exports, and ``factorial``,
-``divides_factorial``, ``factorial_valuation``, ``is_probable_prime``
-and ``parse_factorization`` are imported unused.
+here and whose tracer wraps them here; none is in its ``__all__``.  Those
+of the checker and the table are forwarded as the package forwards its
+lazy exports.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .mahonian import ball_count, max_distance
 
 # Not used here: the benchmark's tracer wraps them at this site.
 from math import factorial  # noqa: F401
-from .numtheory import divides_factorial, factorial_valuation  # noqa: F401
-from .numtheory import is_probable_prime, parse_factorization  # noqa: F401
-from .numtheory import (
-    MAX_GROUP_N,
-    Factorization,
-    factorize,
-    format_factorization,
-    legendre_exponent,
-)
+from .numtheory import divides_factorial, factorial_valuation, is_probable_prime  # noqa: F401
+from .numtheory import MAX_GROUP_N, Factorization, factorize, legendre_exponent
 
 __all__ = [
     "Certificate",
@@ -60,6 +51,7 @@ __all__ = [
     "certify",
     "format_certificate",
     "format_certificate_pretty",
+    "format_factorization",
     "scan",
 ]
 
@@ -67,6 +59,7 @@ __all__ = [
 _LAZY_HOMES = {
     "check_certificate": "checker",
     "parse_certificate": "checker",
+    "parse_factorization": "checker",
     "ball_closed_form": "table",
     "ball_size": "table",
     "build_table": "table",
@@ -231,6 +224,12 @@ def scan(t: int, n_from: int, n_to: int) -> Iterator[Certificate]:
 
 
 RECORD_FIELDS = Certificate._fields
+
+
+def format_factorization(factors: Iterable[tuple[int, int]]) -> str:
+    """Render as ``p^e * p^e`` with primes ascending; the empty product is ``1``."""
+    parts = [f"{p}^{e}" for p, e in factors]
+    return " * ".join(parts) if parts else "1"
 
 
 def certificate_values(cert: Certificate) -> tuple[str, ...]:

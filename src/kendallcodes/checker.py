@@ -11,19 +11,20 @@ derive on its own: it takes it from the engine that ``certify`` used,
 ``ball_count``, whose routes the tests pin against the recurrence table
 and a reference expansion of the product.
 
-A process that only prints records runs none of this, so it loads on
-first use (see the package's docstring).
+The v2 record text has two modules: ``certifier`` writes it, and this
+one reads it.  A process that only prints records runs none of this, so
+it loads on first use (see the package's docstring), and only a process
+that reads a record compiles the record and factorization patterns.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 
 from . import certifier, numtheory
 from .certifier import RECORD_FIELDS, VERDICTS, Certificate, _verdict
-from .numtheory import is_rough, parse_factorization
+from .numtheory import Factorization, is_rough
 
 __all__ = ["check_certificate", "parse_certificate"]
 
@@ -42,17 +43,48 @@ _FIELD_GRAMMAR = {
     "witness_exponents": f"(?:(?:{_INT}),(?:{_INT}))?",
 }
 
+# The canonical record line.  No field's grammar holds a group of its own,
+# so the groups are the seven values in order.
+_RECORD_PATTERN = re.compile(
+    "\t".join(f"{name}=({_FIELD_GRAMMAR[name]})" for name in RECORD_FIELDS) + "\n?"
+)
 
-@functools.cache
-def _record_pattern() -> re.Pattern[str]:
-    """The canonical record line, one group per field, compiled on first use.
+# Every text format_factorization prints but ``1``.  Positive bases and
+# exponents only: no sign, zero padding, `_`, other digits or spaces, all
+# of which int() would also read.
+_FACTOR = r"[1-9][0-9]*\^[1-9][0-9]*"
+_FACTORIZATION_PATTERN = re.compile(rf"{_FACTOR}(?: \* {_FACTOR})*")
 
-    Compiling takes about 1 ms, which a process that reads no record never
-    pays.  No field's grammar holds a group of its own, so the groups are
-    the seven values in order.
+
+def parse_factorization(text: str) -> Factorization:
+    """Read back what ``certifier.format_factorization`` prints; no primality test.
+
+    The text must be exactly ``1``, or ``p^e`` factors joined by
+    ``" * "`` with each base and exponent a positive integer without
+    leading zeros; this is the only check of a record's factorization
+    field.  Raises ValueError saying the text is ``not in canonical
+    form`` for any other text, and for an integer with more digits than
+    ``int()`` converts (see :func:`sys.set_int_max_str_digits`); and
+    ``primes must be at least 2 and ascending`` for a first base of 1 or
+    a base not above the one before it.
     """
-    fields = "\t".join(f"{name}=({_FIELD_GRAMMAR[name]})" for name in RECORD_FIELDS)
-    return re.compile(fields + "\n?")
+    if text == "1":
+        return ()
+    if _FACTORIZATION_PATTERN.fullmatch(text) is None:
+        raise ValueError(f"factorization {text!r} is not in canonical form")
+    factors = []
+    previous = 1
+    for factor in text.split(" * "):
+        base, _, exponent = factor.partition("^")
+        try:
+            p, e = int(base), int(exponent)
+        except ValueError:  # more digits than int() converts, which no factorization prints
+            raise ValueError(f"factorization {text!r} is not in canonical form") from None
+        if p <= previous:
+            raise ValueError(f"primes must be at least 2 and ascending in {text!r}")
+        factors.append((p, e))
+        previous = p
+    return tuple(factors)
 
 
 def parse_certificate(line: str) -> Certificate:
@@ -62,12 +94,12 @@ def parse_certificate(line: str) -> Certificate:
     be the canonical record ``format_certificate`` prints for what it
     holds, so each certificate has one byte form: integers ``0`` or
     ``-?[1-9][0-9]*``, the factorization ``1`` or ``p^e * p^e ...`` (what
-    :func:`~kendallcodes.numtheory.parse_factorization` reads), one of the
-    three verdicts, and an empty or integer witness and an empty or
-    ``a,b`` exponent pair.  One pattern of the whole line checks the form
-    of every field but the factorization, which ``parse_factorization``
-    checks, and yields the seven values.  One trailing newline, the
-    line's terminator, is dropped; a second one is not.
+    :func:`parse_factorization` reads), one of the three verdicts, and an
+    empty or integer witness and an empty or ``a,b`` exponent pair.  One
+    pattern of the whole line checks the form of every field but the
+    factorization, which ``parse_factorization`` checks, and yields the
+    seven values.  One trailing newline, the line's terminator, is
+    dropped; a second one is not.
 
     Raises ValueError naming the ``record fields`` when the names or
     their order are wrong, and saying the record or its factorization is
@@ -78,7 +110,7 @@ def parse_certificate(line: str) -> Certificate:
     whose primes do not ascend is refused by ``parse_factorization``:
     ``primes must be at least 2 and ascending``.
     """
-    match = _record_pattern().fullmatch(line)
+    match = _RECORD_PATTERN.fullmatch(line)
     if match is None:
         names = [field.partition("=")[0] for field in line.removesuffix("\n").split("\t")]
         if tuple(names) != RECORD_FIELDS:

@@ -29,20 +29,16 @@ n! is the sum of floor(n/p^k) over k >= 1.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-import re
 from bisect import bisect_right
 from itertools import accumulate, compress
-from typing import Iterable
 
 __all__ = [
     "Factorization",
     "divides_factorial",
     "factorial_valuation",
     "factorize",
-    "format_factorization",
     "is_probable_prime",
 ]
 
@@ -181,54 +177,3 @@ def divides_factorial(factors: Factorization, n: int) -> bool:
     if n < 1:
         raise ValueError(f"group order argument must be at least 1, got {n}")
     return all(e <= factorial_valuation(n, p) for p, e in factors)
-
-
-def format_factorization(factors: Iterable[tuple[int, int]]) -> str:
-    """Render as ``p^e * p^e`` with primes ascending; the empty product is ``1``."""
-    parts = [f"{p}^{e}" for p, e in factors]
-    return " * ".join(parts) if parts else "1"
-
-
-@functools.cache
-def _factorization_pattern() -> re.Pattern[str]:
-    """Every text format_factorization prints but ``1``, compiled on first use.
-
-    Positive bases and exponents only: no sign, zero padding, `_`, other
-    digits or spaces, all of which int() would also read.  Compiling
-    takes about 0.3 ms, which a process that only prints records never
-    pays; once compiled, every record read back reuses it, where
-    re.fullmatch's lookup of the pattern string would cost about as much
-    again as the match itself.
-    """
-    return re.compile(r"[1-9][0-9]*\^[1-9][0-9]*(?: \* [1-9][0-9]*\^[1-9][0-9]*)*")
-
-
-def parse_factorization(text: str) -> Factorization:
-    """Read back what :func:`format_factorization` prints; no primality test.
-
-    The text must be exactly ``1``, or ``p^e`` factors joined by
-    ``" * "`` with each base and exponent a positive integer without
-    leading zeros; this is the only check of a record's factorization
-    field.  Raises ValueError saying the text is ``not in canonical
-    form`` for any other text, and for an integer with more digits than
-    ``int()`` converts (see :func:`sys.set_int_max_str_digits`); and
-    ``primes must be at least 2 and ascending`` for a first base of 1 or
-    a base not above the one before it.
-    """
-    if text == "1":
-        return ()
-    if _factorization_pattern().fullmatch(text) is None:
-        raise ValueError(f"factorization {text!r} is not in canonical form")
-    factors = []
-    previous = 1
-    for factor in text.split(" * "):
-        base, _, exponent = factor.partition("^")
-        try:
-            p, e = int(base), int(exponent)
-        except ValueError:  # more digits than int() converts, which no factorization prints
-            raise ValueError(f"factorization {text!r} is not in canonical form") from None
-        if p <= previous:
-            raise ValueError(f"primes must be at least 2 and ascending in {text!r}")
-        factors.append((p, e))
-        previous = p
-    return tuple(factors)

@@ -14,9 +14,9 @@ from kendallcodes.certifier import (
     INCONCLUSIVE,
     NONEXISTENT_NOT_DIVIDING,
     NONEXISTENT_PRIME_FACTOR,
-    check_certificate,
     scan,
 )
+from kendallcodes.checker import check_certificate
 from kendallcodes.mahonian import max_distance
 from kendallcodes.numtheory import divides_factorial, factorize, is_probable_prime
 from kendallcodes.oracle import (

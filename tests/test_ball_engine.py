@@ -29,13 +29,13 @@ from kendallcodes.certifier import (
     Certificate,
     ball_value,
     certify,
-    check_certificate,
-    parse_certificate,
     scan,
 )
+from kendallcodes.checker import check_certificate, parse_certificate
 from kendallcodes.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_VALIDATION, main
-from kendallcodes.mahonian import ball_count, ball_size, max_distance
+from kendallcodes.mahonian import ball_count, max_distance
 from kendallcodes.numtheory import MAX_GROUP_N, factorize
+from kendallcodes.table import ball_size
 
 
 @pytest.mark.parametrize("n", [5, 6, 17, 40, 60])

@@ -25,12 +25,12 @@ from kendallcodes.certifier import (
     VERDICTS,
     certificate_values,
     certify,
-    check_certificate,
     format_certificate,
-    parse_certificate,
+    format_factorization,
 )
+from kendallcodes.checker import check_certificate, parse_certificate, parse_factorization
 from kendallcodes.mahonian import max_distance
-from kendallcodes.numtheory import MAX_GROUP_N, format_factorization, parse_factorization
+from kendallcodes.numtheory import MAX_GROUP_N
 
 
 @st.composite

@@ -18,13 +18,12 @@ from kendallcodes.certifier import (
     ball_value,
     certificate_values,
     certify,
-    check_certificate,
     format_certificate,
     format_certificate_pretty,
-    parse_certificate,
     scan,
     witness_factor_families,
 )
+from kendallcodes.checker import check_certificate, parse_certificate
 from kendallcodes.mahonian import max_distance
 from kendallcodes.numtheory import BLOCK_SIZE, MAX_GROUP_N, is_probable_prime
 

@@ -18,12 +18,8 @@ from hypothesis import strategies as st
 
 import kendallcodes
 from kendallcodes import certifier, cli, mahonian, oracle
-from kendallcodes.certifier import (
-    INCONCLUSIVE,
-    NONEXISTENT_NOT_DIVIDING,
-    check_certificate,
-    parse_certificate,
-)
+from kendallcodes.certifier import INCONCLUSIVE, NONEXISTENT_NOT_DIVIDING
+from kendallcodes.checker import check_certificate, parse_certificate
 from kendallcodes.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,

@@ -18,13 +18,8 @@ from pathlib import Path
 import pytest
 
 import kendallcodes
-from kendallcodes.certifier import (
-    INCONCLUSIVE,
-    NONEXISTENT_NOT_DIVIDING,
-    NONEXISTENT_PRIME_FACTOR,
-    check_certificate,
-    parse_certificate,
-)
+from kendallcodes.certifier import INCONCLUSIVE, NONEXISTENT_NOT_DIVIDING, NONEXISTENT_PRIME_FACTOR
+from kendallcodes.checker import check_certificate, parse_certificate
 from kendallcodes.cli import EXIT_INCONCLUSIVE, main
 
 # D(1019) = 518671 and D(200) = 19900; MAX_BALL_WORK refuses (200, 14697),

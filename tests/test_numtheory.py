@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kendallcodes.certifier import format_factorization
+from kendallcodes.checker import parse_factorization
 from kendallcodes.numtheory import (
     _BLOCK_PRODUCTS,
     _PRIMES,
@@ -23,10 +25,8 @@ from kendallcodes.numtheory import (
     divides_factorial,
     factorial_valuation,
     factorize,
-    format_factorization,
     is_probable_prime,
     is_rough,
-    parse_factorization,
 )
 
 # primes far beyond the sieve

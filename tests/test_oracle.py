@@ -14,7 +14,7 @@ import pytest
 
 from kendallcodes import oracle
 from kendallcodes.certifier import INCONCLUSIVE, certify
-from kendallcodes.mahonian import ball_size, max_distance
+from kendallcodes.mahonian import max_distance
 from kendallcodes.oracle import (
     EXHAUSTED_NONE,
     FOUND,
@@ -24,6 +24,7 @@ from kendallcodes.oracle import (
     search_perfect_code,
     verify_min_distance,
 )
+from kendallcodes.table import ball_size
 
 
 def symmetric_group(n):

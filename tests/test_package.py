@@ -35,22 +35,21 @@ import kendallcodes
 print(kendallcodes.search_perfect_code.__module__, "kendallcodes.oracle" in sys.modules)
 """
 
-# a one-shot certify, then whether the checker was loaded and the record and
-# factorization patterns compiled, before and after one record is parsed
+# a one-shot certify, then whether the checker was loaded and how many
+# compiled patterns the package's modules hold, before and after one record
+# is parsed
 COLD_CERTIFY_PATTERN = """
-import contextlib, io, sys
-from kendallcodes import certifier, cli, numtheory
+import contextlib, io, re, sys
+import kendallcodes
+from kendallcodes import cli
 def compiled():
-    checker = sys.modules.get("kendallcodes.checker")
-    return (
-        checker is not None,
-        checker and checker._record_pattern.cache_info().currsize,
-        numtheory._factorization_pattern.cache_info().currsize,
-    )
+    modules = [m for name, m in sys.modules.items() if name.startswith("kendallcodes")]
+    patterns = [v for m in modules for v in vars(m).values() if isinstance(v, re.Pattern)]
+    return "kendallcodes.checker" in sys.modules, len(patterns)
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["certify", "--n", "13", "--t", "3"])
 print(code, *compiled())
-certifier.parse_certificate(out.getvalue())
+kendallcodes.parse_certificate(out.getvalue())
 print(*compiled())
 """
 
@@ -76,6 +75,7 @@ FORWARDED = {
     "kendallcodes.certifier": {
         "check_certificate": "kendallcodes.checker",
         "parse_certificate": "kendallcodes.checker",
+        "parse_factorization": "kendallcodes.checker",
         "ball_closed_form": "kendallcodes.table",
         "ball_size": "kendallcodes.table",
         "build_table": "kendallcodes.table",
@@ -226,8 +226,26 @@ def test_certify_loads_neither_dataclasses_nor_the_oracle():
 
 
 def test_certify_never_compiles_the_record_pattern():
-    # the pattern lives in the checker, which parsing the first record loads
-    assert run_cold(COLD_CERTIFY_PATTERN).splitlines() == ["0 False None 0", "True 1 1"]
+    # both record grammars are the checker's constants, which parsing the
+    # first record loads
+    assert run_cold(COLD_CERTIFY_PATTERN).splitlines() == ["0 False 0", "True 2"]
+
+
+def test_only_the_checker_imports_re():
+    # certifier writes the record text and checker reads it; numtheory is
+    # arithmetic only
+    imports = {}
+    for path in sorted((ROOT / "src" / "kendallcodes").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+        imports[path.stem] = names
+    assert [stem for stem, names in imports.items() if "re" in names] == ["checker"]
+    assert imports["numtheory"] & {"re", "functools", "typing"} == set()
+    assert "functools" not in imports["checker"]
 
 
 def test_one_shot_commands_import_argparse_only_when_the_table_reader_declines():
