@@ -151,8 +151,8 @@ def check_certificate(cert: Certificate) -> bool:
     ball, and the cofactor, their quotient, must be 1 or exceed n and
     have no prime factor up to min(n, sqrt(cofactor)), by
     :func:`~kendallcodes.numtheory.is_rough`: one gcd with the product of
-    the sieve's full blocks of primes below that bound and trial division
-    by the few primes past them, not ``factorize``'s block skipping.
+    the sieve's blocks of primes before the bound's own block and one
+    with that block's product, not ``factorize``'s block walk.
     The verdict and witness must then be the ones ``certify`` derives
     from that split.  n! is never built.
 

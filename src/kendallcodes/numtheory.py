@@ -9,15 +9,17 @@ certifier serves.  Nothing is left to chance or to a budget: the cofactor
 is never split further, because its primes cannot divide n! anyway.
 
 Large bounds reach many primes that almost never divide, so the sieve's
-primes are also grouped into blocks of `BLOCK_SIZE` consecutive primes,
-each with its product and the product of every prime through it, built
-at import.  One gcd with a block's product tells whether any of its
-primes divides a value: `factorize` skips a block that shares no factor
-and stops at the first block whose first prime squared exceeds what is
-left, and `is_rough` tests every prime below a bound with one gcd against
-a running product and trial division of at most BLOCK_SIZE - 1 leftover
-primes (Bernstein, "How to find smooth parts of integers", 2004).  Below
-the first full block both are plain trial division.
+primes are also grouped into blocks, each with its product and the
+product of every prime before it, built at import: the 32 primes up to
+131, then 64 primes per block, the last block fewer.  One gcd with a
+block's product names the block's primes that divide a value, so
+`factorize` skips a block whose gcd is 1, divides out only the primes of
+every other gcd, and stops at the first block whose first prime squared
+exceeds what is left.  `is_rough` tests every prime up to a bound with
+two gcds, one against a running product and one against the bound's own
+block (Bernstein, "How to find smooth parts of integers", 2004).  A
+split to a bound below 131 stays inside the first block, which it
+trial-divides.
 
 Every prime the package tests is at most n <= `MAX_GROUP_N`, so
 primality is membership in that same sieve, exact with no assumption;
@@ -46,10 +48,6 @@ Factorization = tuple[tuple[int, int], ...]
 
 MAX_GROUP_N = 10_000
 
-# Primes per block.  On t <= 5 balls up to n = 10 000, blocks of 24 to 64
-# primes timed alike; 8, 16 and 128 were slower.
-BLOCK_SIZE = 32
-
 
 def _build_sieve() -> bytes:
     """Flags indexed by 0..MAX_GROUP_N: 1 exactly at the primes."""
@@ -57,20 +55,24 @@ def _build_sieve() -> bytes:
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(MAX_GROUP_N) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+            sieve[p * p :: p] = bytearray(len(range(p * p, MAX_GROUP_N + 1, p)))
     return bytes(sieve)
 
 
 _SIEVE = _build_sieve()
 _PRIMES = tuple(compress(range(MAX_GROUP_N + 1), _SIEVE))
-# Block k holds _PRIMES[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE]; the last
-# primes, too few for a block, are in none.
-_BLOCK_PRODUCTS = tuple(
-    math.prod(_PRIMES[i : i + BLOCK_SIZE])
-    for i in range(0, len(_PRIMES) - BLOCK_SIZE + 1, BLOCK_SIZE)
+# The first block holds the 32 primes up to 131, and each later block the
+# next 64 primes, the last block fewer.  On t <= 5 balls up to n = 10 000,
+# later blocks of 64 or 96 primes split fastest; 32, 48 and 128 were slower.
+_FIRST_BLOCK, _BLOCK = 32, 64
+_STARTS = (0, *range(_FIRST_BLOCK, len(_PRIMES), _BLOCK))
+# (start, stop, product, first prime squared) per block of _PRIMES[start:stop]
+_BLOCKS = tuple(
+    (start, stop, math.prod(_PRIMES[start:stop]), _PRIMES[start] ** 2)
+    for start, stop in zip(_STARTS, (*_STARTS[1:], len(_PRIMES)))
 )
-# _RUNNING_PRODUCTS[k] is the product of the primes in the first k blocks; about 35 KB.
-_RUNNING_PRODUCTS = tuple(accumulate(_BLOCK_PRODUCTS, operator.mul, initial=1))
+# _RUNNING_PRODUCTS[k] is the product of the primes in the first k blocks; about 19 KB.
+_RUNNING_PRODUCTS = tuple(accumulate((block[2] for block in _BLOCKS), operator.mul, initial=1))
 
 
 def _prime_count(bound: int) -> int:
@@ -98,25 +100,34 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     no prime factor <= bound; ``value == cofactor * prod(p**e)``.  Raises
     ValueError for value < 1 and for a bound outside 0..MAX_GROUP_N.
 
-    One loop over the blocks of BLOCK_SIZE sieve primes up to ``bound``.
-    It stops at the first block whose first prime squared exceeds what is
-    left, which is then 1 or a prime.  A full block whose product is
-    coprime to what is left is skipped with one gcd; every other block is
-    trial-divided.  After the loop a lone prime up to ``bound`` joins
-    ``smooth``.
+    One loop over the blocks of sieve primes up to ``bound``.  It stops
+    at the first block whose first prime squared exceeds what is left,
+    which is then 1 or a prime.  A bound below 131 ends inside the first
+    block, whose primes up to it are trial-divided.  Every other block
+    costs one gcd h of its product with what is left, and only the primes
+    of h are divided out: h itself when it is a sieve prime, otherwise
+    the block's primes up to ``bound`` that divide h.  After the loop a
+    lone prime up to ``bound`` joins ``smooth``.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
     count = _prime_count(bound)
     smooth: list[tuple[int, int]] = []
     v = value
-    for start in range(0, count, BLOCK_SIZE):
-        if _PRIMES[start] ** 2 > v:
+    for start, stop, product, first_square in _BLOCKS:
+        if start >= count or first_square > v:
             break
-        stop = start + BLOCK_SIZE
-        if stop <= count and math.gcd(_BLOCK_PRODUCTS[start // BLOCK_SIZE], v) == 1:
-            continue
-        for p in _PRIMES[start : min(stop, count)]:
+        if count < _FIRST_BLOCK:
+            primes = _PRIMES[:count]
+        else:
+            h = math.gcd(product, v)
+            if h == 1:
+                continue
+            if h <= MAX_GROUP_N and _SIEVE[h]:
+                primes = (h,) if h <= bound else ()
+            else:
+                primes = [p for p in _PRIMES[start : min(stop, count)] if h % p == 0]
+        for p in primes:
             if v % p == 0:
                 e = 0
                 while v % p == 0:
@@ -134,15 +145,22 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
 def is_rough(value: int, bound: int) -> bool:
     """Whether no prime p <= bound divides ``value``, for 0 <= bound <= MAX_GROUP_N.
 
-    One gcd with the product of every prime through the last full block
-    up to ``bound``, then trial division by the at most BLOCK_SIZE - 1
-    primes past it.  Raises ValueError for a bound outside 0..MAX_GROUP_N.
+    Two gcds: one with the running product of the blocks of sieve primes
+    before the bound's own block, the one that holds the first prime past
+    ``bound`` (or the last block), and one with that block's product.
+    Only when the second shares a factor are the block's primes up to
+    ``bound`` tested, against that gcd alone.  Raises ValueError for a
+    bound outside 0..MAX_GROUP_N.
     """
     count = _prime_count(bound)
-    blocks = count // BLOCK_SIZE
-    if math.gcd(_RUNNING_PRODUCTS[blocks], value) > 1:
+    k = bisect_right(_STARTS, count) - 1
+    if math.gcd(_RUNNING_PRODUCTS[k], value) > 1:
         return False
-    return all(value % p for p in _PRIMES[blocks * BLOCK_SIZE : count])
+    start, _, product, _ = _BLOCKS[k]
+    h = math.gcd(product, value)
+    if h <= MAX_GROUP_N and _SIEVE[h]:
+        return h > bound
+    return h == 1 or all(h % p for p in _PRIMES[start:count])
 
 
 def factorial_valuation(n: int, p: int) -> int:

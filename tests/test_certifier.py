@@ -25,7 +25,7 @@ from kendallcodes.certifier import (
 )
 from kendallcodes.checker import check_certificate, parse_certificate
 from kendallcodes.mahonian import max_distance
-from kendallcodes.numtheory import BLOCK_SIZE, MAX_GROUP_N, is_probable_prime
+from kendallcodes.numtheory import _BLOCKS, MAX_GROUP_N, is_probable_prime
 
 
 def test_certify_prime_factor_verdict():
@@ -383,7 +383,7 @@ def test_checker_rejects_underived_witness_free_claims():
 @pytest.mark.parametrize(
     "n, t, p, where",
     [
-        (1007, 2, 503, "full block"),  # the last prime of the third block
+        (1007, 2, 503, "full block"),  # the last prime of the second block
         (1029, 2, 257, "full block"),
         (2962, 3, 2909, "tail"),
         (9973, 5, 9973, "tail"),  # p = n, the last prime of the sieve
@@ -396,8 +396,10 @@ def test_checker_rejects_a_smooth_prime_moved_into_the_cofactor(n, t, p, where):
     assert cert.verdict == NONEXISTENT_PRIME_FACTOR and (p, 1) in cert.factorization
     assert check_certificate(cert)
     primes = [q for q in range(2, n + 1) if is_probable_prime(q)]
-    full_blocks_end = len(primes) // BLOCK_SIZE * BLOCK_SIZE
-    assert ("full block" if primes.index(p) < full_blocks_end else "tail") == where
+    # is_rough tests the blocks before the one holding the first prime past n
+    # (or the last block) with one gcd, and that block's primes up to n apart
+    tail_start = max(start for start, _, _, _ in _BLOCKS if start <= len(primes))
+    assert ("full block" if primes.index(p) < tail_start else "tail") == where
     forged = cert._replace(
         factorization=tuple(pair for pair in cert.factorization if pair[0] != p),
         witness=cert.witness * p,

@@ -42,6 +42,22 @@ OUTPUT_DIGESTS = [
         "af5bfb1b7fe99cfa605254813acc3334abbf69466398e4d4defd951d441a98fa",
     ),
     (
+        "scan --t 2 --from 3001 --to 10000",
+        "4826fcd94785e5e6f4524fd259425812c3cdd053934d524da03f066305a1f4ee",
+    ),
+    (
+        "scan --t 3 --from 3001 --to 10000",
+        "f0ecae06f008fb369d2034f59a75e4276352b42e150734ff672a1fc0dc2ca510",
+    ),
+    (
+        "scan --t 4 --from 3001 --to 10000",
+        "37882cb39b0c835d1e794368e45ce39a4aaddabad4b21f2ab408dfd7a9531cfb",
+    ),
+    (
+        "scan --t 5 --from 3001 --to 10000",
+        "9f7540f4f28c51eed9cd51776b25ffd05cd724f6d5e03a760dee432e3d627c16",
+    ),
+    (
         "scan --t 6 --from 2 --to 3000",
         "9626cdf406624e39f045c78b57c20bf81fe1b702c973fd722e2d56e03aa985ce",
     ),

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from kendallcodes.certifier import format_factorization
 from kendallcodes.checker import parse_factorization
 from kendallcodes.numtheory import (
-    _BLOCK_PRODUCTS,
+    _BLOCKS,
     _PRIMES,
     _RUNNING_PRODUCTS,
-    BLOCK_SIZE,
     MAX_GROUP_N,
     divides_factorial,
     factorial_valuation,
@@ -107,21 +106,17 @@ def test_factorize_is_deterministic():
         assert factorize(v, 100) == factorize(v, 100)
 
 
-# the last prime of each full block of BLOCK_SIZE sieve primes
-BLOCK_ENDS = SIEVE_PRIMES[BLOCK_SIZE - 1 :: BLOCK_SIZE]
-TAIL_PRIMES = SIEVE_PRIMES[len(BLOCK_ENDS) * BLOCK_SIZE :]
+# the first and the last prime of each block of sieve primes, and every
+# prime of the last block, which holds fewer than the others
+BLOCK_STARTS = [SIEVE_PRIMES[start] for start, _, _, _ in _BLOCKS]
+BLOCK_ENDS = [SIEVE_PRIMES[stop - 1] for _, stop, _, _ in _BLOCKS]
+TAIL_PRIMES = SIEVE_PRIMES[_BLOCKS[-1][0] :]
 # every bound at which a block starts or ends, with its neighbours
 EDGE_BOUNDS = sorted(
     {0, 1, 2, MAX_GROUP_N - 1, MAX_GROUP_N}
-    | {q + d for q in BLOCK_ENDS for d in (-1, 0, 1)}
-    | {q + d for q in TAIL_PRIMES for d in (-1, 0, 1)}
+    | {q + d for q in BLOCK_STARTS + BLOCK_ENDS + TAIL_PRIMES for d in (-1, 0, 1)}
 )
-SMOOTH_POOL = sorted(
-    {2, 3, 5, 127}
-    | set(BLOCK_ENDS)
-    | set(SIEVE_PRIMES[BLOCK_SIZE :: BLOCK_SIZE])
-    | set(TAIL_PRIMES)
-)
+SMOOTH_POOL = sorted({2, 3, 5, 127} | set(BLOCK_STARTS) | set(BLOCK_ENDS) | set(TAIL_PRIMES))
 ROUGH_PARTS = (1, 10007, 10009, 999983, M31, P_BIG_1, 10007 * P_BIG_2)
 
 
@@ -156,8 +151,15 @@ out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_GR
 @example(131 * 137, 131)
 @example(131**2, 131)
 @example(9857 * 9859, 9858)
+# a block's gcd is one sieve prime (139), or the product of two (137 * 139)
+@example(139**2 * 10007, MAX_GROUP_N)
+@example(137 * 139 * 10007, MAX_GROUP_N)
+# the bound's own block shares primes on both sides of the bound (137 and
+# 149 at 140), or only one past it (149)
+@example(137 * 149 * 10007, 140)
+@example(149 * 10007, 140)
 # the early exit settles the split with one more prime: nothing is left,
-# or a lone prime past the last full block
+# or a lone prime in the last block
 @example(1, MAX_GROUP_N)
 @example(9973, MAX_GROUP_N)
 @example(2 * 9973, MAX_GROUP_N)
@@ -169,12 +171,17 @@ def test_split_and_roughness_match_plain_trial_division(value, bound):
 
 def test_tables_are_the_sieve_primes_and_their_block_products():
     assert _PRIMES == tuple(SIEVE_PRIMES) and len(_PRIMES) == 1229
-    assert len(_BLOCK_PRODUCTS) == 38
-    for k, product in enumerate(_BLOCK_PRODUCTS):
-        assert product == math.prod(SIEVE_PRIMES[k * BLOCK_SIZE : (k + 1) * BLOCK_SIZE])
-    assert _RUNNING_PRODUCTS[0] == 1 and len(_RUNNING_PRODUCTS) == 39
-    for k, product in enumerate(_RUNNING_PRODUCTS):
-        assert product == math.prod(SIEVE_PRIMES[: k * BLOCK_SIZE])
+    # the 32 primes up to 131, 18 blocks of 64, and the last 45 primes
+    spans = [(start, stop) for start, stop, _, _ in _BLOCKS]
+    assert spans == list(zip([0, 32, *range(96, 1185, 64)], [32, *range(96, 1185, 64), 1229]))
+    assert BLOCK_ENDS[0] == 131
+    for start, stop, product, first_square in _BLOCKS:
+        assert product == math.prod(SIEVE_PRIMES[start:stop])
+        assert first_square == SIEVE_PRIMES[start] ** 2
+    stops = [0] + [stop for _, stop in spans]
+    assert len(_RUNNING_PRODUCTS) == len(stops) == 21
+    for product, stop in zip(_RUNNING_PRODUCTS, stops):
+        assert product == math.prod(SIEVE_PRIMES[:stop])
 
 
 @given(st.integers(max_value=0), bounds)

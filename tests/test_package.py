@@ -233,7 +233,8 @@ def test_certify_never_compiles_the_record_pattern():
 
 def test_only_the_checker_imports_re():
     # certifier writes the record text and checker reads it; numtheory is
-    # arithmetic only
+    # arithmetic only, and loads no number kernel (such as decimal) beyond
+    # the ones it uses
     imports = {}
     for path in sorted((ROOT / "src" / "kendallcodes").glob("*.py")):
         names = set()
@@ -245,6 +246,7 @@ def test_only_the_checker_imports_re():
         imports[path.stem] = names
     assert [stem for stem, names in imports.items() if "re" in names] == ["checker"]
     assert imports["numtheory"] & {"re", "functools", "typing"} == set()
+    assert imports["numtheory"] <= {"__future__", "math", "operator", "bisect", "itertools"}
     assert "functools" not in imports["checker"]
 
 
