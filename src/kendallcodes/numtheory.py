@@ -3,23 +3,21 @@
 Only primes up to n divide n!, so a divisibility verdict against n! needs
 no more of a value than its *n-smooth split*: the factorization over the
 primes up to n, and the *n-rough cofactor* that remains once those primes
-are divided out.  `factorize` computes that split by trial division with
-the primes of one sieve up to `MAX_GROUP_N`, the largest group size the
-certifier serves.  Nothing is left to chance or to a budget: the cofactor
-is never split further, because its primes cannot divide n! anyway.
+are divided out.  `factorize` computes that split from the primes of one
+sieve up to `MAX_GROUP_N`, the largest group size the certifier serves.
+Nothing is left to chance or to a budget: the cofactor is never split
+further, because its primes cannot divide n! anyway.
 
 Large bounds reach many primes that almost never divide, so the sieve's
-primes are also grouped into blocks, each with its product and the
-product of every prime before it, built at import: the 32 primes up to
-131, then 64 primes per block, the last block fewer.  One gcd with a
-block's product names the block's primes that divide a value, so
-`factorize` skips a block whose gcd is 1, divides out only the primes of
-every other gcd, and stops at the first block whose first prime squared
-exceeds what is left.  `is_rough` tests every prime up to a bound with
-two gcds, one against a running product and one against the bound's own
-block (Bernstein, "How to find smooth parts of integers", 2004).  A
-split to a bound below 131 stays inside the first block, which it
-trial-divides.
+primes are grouped into blocks of 64, the last block fewer, each with its
+product and the product of every prime before it, built at import.  One
+gcd with a block's product names the block's primes that divide a value,
+so `factorize` skips a block whose gcd is 1, divides out only the primes
+of every other gcd, and stops at the first block whose first prime
+squared exceeds what is left.  `is_rough` tests every prime up to a
+bound with two gcds, one against a running product and one against the
+bound's own block (Bernstein, "How to find smooth parts of integers",
+2004).
 
 Every prime the package tests is at most n <= `MAX_GROUP_N`, so
 primality is membership in that same sieve, exact with no assumption;
@@ -61,17 +59,16 @@ def _build_sieve() -> bytes:
 
 _SIEVE = _build_sieve()
 _PRIMES = tuple(compress(range(MAX_GROUP_N + 1), _SIEVE))
-# The first block holds the 32 primes up to 131, and each later block the
-# next 64 primes, the last block fewer.  On t <= 5 balls up to n = 10 000,
-# later blocks of 64 or 96 primes split fastest; 32, 48 and 128 were slower.
-_FIRST_BLOCK, _BLOCK = 32, 64
-_STARTS = (0, *range(_FIRST_BLOCK, len(_PRIMES), _BLOCK))
+# On t <= 5 balls up to n = 10 000, blocks of 64 or 96 primes split
+# fastest; 32, 48 and 128 were slower.
+_BLOCK = 64
+_STARTS = tuple(range(0, len(_PRIMES), _BLOCK))
 # (start, stop, product, first prime squared) per block of _PRIMES[start:stop]
 _BLOCKS = tuple(
     (start, stop, math.prod(_PRIMES[start:stop]), _PRIMES[start] ** 2)
     for start, stop in zip(_STARTS, (*_STARTS[1:], len(_PRIMES)))
 )
-# _RUNNING_PRODUCTS[k] is the product of the primes in the first k blocks; about 19 KB.
+# _RUNNING_PRODUCTS[k] is the product of the primes in the first k blocks; about 18 KB.
 _RUNNING_PRODUCTS = tuple(accumulate((block[2] for block in _BLOCKS), operator.mul, initial=1))
 
 
@@ -102,12 +99,11 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
 
     One loop over the blocks of sieve primes up to ``bound``.  It stops
     at the first block whose first prime squared exceeds what is left,
-    which is then 1 or a prime.  A bound below 131 ends inside the first
-    block, whose primes up to it are trial-divided.  Every other block
-    costs one gcd h of its product with what is left, and only the primes
-    of h are divided out: h itself when it is a sieve prime, otherwise
-    the block's primes up to ``bound`` that divide h.  After the loop a
-    lone prime up to ``bound`` joins ``smooth``.
+    which is then 1 or a prime.  Every block costs one gcd h of its
+    product with what is left, and only the primes of h are divided out:
+    h itself when it is a sieve prime, otherwise the block's primes up to
+    ``bound`` that divide h.  After the loop a lone prime up to ``bound``
+    joins ``smooth``.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
@@ -117,23 +113,21 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     for start, stop, product, first_square in _BLOCKS:
         if start >= count or first_square > v:
             break
-        if count < _FIRST_BLOCK:
-            primes = _PRIMES[:count]
+        h = math.gcd(product, v)
+        if h == 1:
+            continue
+        # past the first block most gcds above 1 are one prime; taking it
+        # without testing the block's primes is most of this walk's gain
+        if h <= MAX_GROUP_N and _SIEVE[h]:
+            primes = (h,) if h <= bound else ()
         else:
-            h = math.gcd(product, v)
-            if h == 1:
-                continue
-            if h <= MAX_GROUP_N and _SIEVE[h]:
-                primes = (h,) if h <= bound else ()
-            else:
-                primes = [p for p in _PRIMES[start : min(stop, count)] if h % p == 0]
+            primes = [p for p in _PRIMES[start : min(stop, count)] if h % p == 0]
         for p in primes:
-            if v % p == 0:
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                smooth.append((p, e))
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            smooth.append((p, e))
     # a break leaves 1 or a prime, and running out leaves no prime factor
     # <= bound, so this takes exactly a lone prime up to the bound
     if 1 < v <= bound:
@@ -158,8 +152,6 @@ def is_rough(value: int, bound: int) -> bool:
         return False
     start, _, product, _ = _BLOCKS[k]
     h = math.gcd(product, value)
-    if h <= MAX_GROUP_N and _SIEVE[h]:
-        return h > bound
     return h == 1 or all(h % p for p in _PRIMES[start:count])
 
 

@@ -383,7 +383,7 @@ def test_checker_rejects_underived_witness_free_claims():
 @pytest.mark.parametrize(
     "n, t, p, where",
     [
-        (1007, 2, 503, "full block"),  # the last prime of the second block
+        (1007, 2, 503, "full block"),  # the 96th prime, inside the second block
         (1029, 2, 257, "full block"),
         (2962, 3, 2909, "tail"),
         (9973, 5, 9973, "tail"),  # p = n, the last prime of the sieve

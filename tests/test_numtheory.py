@@ -151,13 +151,14 @@ out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_GR
 @example(131 * 137, 131)
 @example(131**2, 131)
 @example(9857 * 9859, 9858)
-# a block's gcd is one sieve prime (139), or the product of two (137 * 139)
-@example(139**2 * 10007, MAX_GROUP_N)
-@example(137 * 139 * 10007, MAX_GROUP_N)
-# the bound's own block shares primes on both sides of the bound (137 and
-# 149 at 140), or only one past it (149)
-@example(137 * 149 * 10007, 140)
-@example(149 * 10007, 140)
+# the second block's gcd is one sieve prime (317), or the product of two
+# (313 * 317)
+@example(317**2 * 10007, MAX_GROUP_N)
+@example(313 * 317 * 10007, MAX_GROUP_N)
+# the bound's own block shares primes on both sides of the bound (313 and
+# 331 at 320), or only one past it (331)
+@example(313 * 331 * 10007, 320)
+@example(331 * 10007, 320)
 # the early exit settles the split with one more prime: nothing is left,
 # or a lone prime in the last block
 @example(1, MAX_GROUP_N)
@@ -171,10 +172,10 @@ def test_split_and_roughness_match_plain_trial_division(value, bound):
 
 def test_tables_are_the_sieve_primes_and_their_block_products():
     assert _PRIMES == tuple(SIEVE_PRIMES) and len(_PRIMES) == 1229
-    # the 32 primes up to 131, 18 blocks of 64, and the last 45 primes
+    # 19 blocks of 64 primes, and the last 13 primes
     spans = [(start, stop) for start, stop, _, _ in _BLOCKS]
-    assert spans == list(zip([0, 32, *range(96, 1185, 64)], [32, *range(96, 1185, 64), 1229]))
-    assert BLOCK_ENDS[0] == 131
+    assert spans == list(zip(range(0, 1229, 64), [*range(64, 1229, 64), 1229]))
+    assert BLOCK_ENDS[0] == 311
     for start, stop, product, first_square in _BLOCKS:
         assert product == math.prod(SIEVE_PRIMES[start:stop])
         assert first_square == SIEVE_PRIMES[start] ** 2
