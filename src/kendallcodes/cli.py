@@ -80,18 +80,19 @@ def cmd_ball(args: Args) -> int:
 
 
 def _emit_certificates(certs: Iterable[certifier.Certificate], fmt: str) -> int:
-    """Print each certificate as soon as it is made; 3 if any verdict is INCONCLUSIVE."""
+    """Write each certificate, in one write, as soon as it is made; 3 if any is INCONCLUSIVE."""
+    write = sys.stdout.write
     if fmt == "tsv":
-        print("\t".join(certifier.RECORD_FIELDS))
+        write("\t".join(certifier.RECORD_FIELDS) + "\n")
     code = EXIT_OK
     for i, cert in enumerate(certs):
         if fmt == "tsv":
-            print("\t".join(certifier.certificate_values(cert)))
+            write("\t".join(certifier.certificate_values(cert)) + "\n")
         elif fmt == "pretty":
             # a blank line between blocks
-            print(("\n" if i else "") + certifier.format_certificate_pretty(cert))
+            write(("\n" if i else "") + certifier.format_certificate_pretty(cert) + "\n")
         else:
-            print(certifier.format_certificate(cert))
+            write(certifier.format_certificate(cert) + "\n")
         if cert.verdict == certifier.INCONCLUSIVE:
             code = EXIT_INCONCLUSIVE
     return code

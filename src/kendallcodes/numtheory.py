@@ -12,12 +12,12 @@ Large bounds reach many primes that almost never divide, so the sieve's
 primes are grouped into blocks of 64, the last block fewer, each with its
 product and the product of every prime before it, built at import.  One
 gcd with a block's product names the block's primes that divide a value,
-so `factorize` skips a block whose gcd is 1, divides out only the primes
-of every other gcd, and stops at the first block whose first prime
-squared exceeds what is left.  `is_rough` tests every prime up to a
-bound with two gcds, one against a running product and one against the
-bound's own block (Bernstein, "How to find smooth parts of integers",
-2004).
+so `factorize` skips a block whose gcd is 1, walks every other block's
+primes only until that gcd is used up or one sieve prime, and stops at
+the first block whose first prime squared exceeds what is left.
+`is_rough` tests every prime up to a bound with two gcds, one against a
+running product and one against the bound's own block (Bernstein, "How
+to find smooth parts of integers", 2004).
 
 Every prime the package tests is at most n <= `MAX_GROUP_N`, so
 primality is membership in that same sieve, exact with no assumption;
@@ -100,10 +100,11 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     One loop over the blocks of sieve primes up to ``bound``.  It stops
     at the first block whose first prime squared exceeds what is left,
     which is then 1 or a prime.  Every block costs one gcd h of its
-    product with what is left, and only the primes of h are divided out:
-    h itself when it is a sieve prime, otherwise the block's primes up to
-    ``bound`` that divide h.  After the loop a lone prime up to ``bound``
-    joins ``smooth``.
+    product with what is left, and a block with h > 1 is walked prime by
+    prime up to ``bound``: once what is left of h is one sieve prime, it
+    is divided out if at most ``bound`` and the walk stops; before that,
+    each prime p dividing h is divided out and h becomes h / p, until h
+    is 1.  After the loop a lone prime up to ``bound`` joins ``smooth``.
     """
     if value < 1:
         raise ValueError(f"can only factor positive integers, got {value}")
@@ -116,18 +117,22 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
         h = math.gcd(product, v)
         if h == 1:
             continue
-        # past the first block most gcds above 1 are one prime; taking it
-        # without testing the block's primes is most of this walk's gain
-        if h <= MAX_GROUP_N and _SIEVE[h]:
-            primes = (h,) if h <= bound else ()
-        else:
-            primes = [p for p in _PRIMES[start : min(stop, count)] if h % p == 0]
-        for p in primes:
+        # h is squarefree, so one division takes p out of it
+        for p in _PRIMES[start : min(stop, count)]:
+            if h <= MAX_GROUP_N and _SIEVE[h]:
+                if h > bound:
+                    break
+                p = h
+            elif h % p:
+                continue
             e = 0
             while v % p == 0:
                 v //= p
                 e += 1
             smooth.append((p, e))
+            h //= p
+            if h == 1:
+                break
     # a break leaves 1 or a prime, and running out leaves no prime factor
     # <= bound, so this takes exactly a lone prime up to the bound
     if 1 < v <= bound:

@@ -224,6 +224,35 @@ def test_scan_writes_each_record_before_making_the_next(monkeypatch, fmt):
     assert events[-1] == "write"
 
 
+@pytest.mark.parametrize("fmt", ["records", "tsv", "pretty"])
+@pytest.mark.parametrize(
+    ("argv", "records"),
+    [(("certify", "--n", "13", "--t", "3"), 1), (("scan", "--t", "3", "--from", "4", "--to", "12"), 9)],
+    ids=["certify", "scan"],
+)
+def test_certify_and_scan_make_one_write_per_output_line(monkeypatch, capsys, argv, records, fmt):
+    # a pipe's reader pays per write, so each record, TSV row or header and
+    # each pretty block goes out whole, with its newline, in one write
+    assert main([*argv, "--format", fmt]) == EXIT_OK
+    expected = capsys.readouterr().out
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main([*argv, "--format", fmt]) == EXIT_OK
+    assert "".join(writes) == expected
+    assert len(writes) == records + (fmt == "tsv")
+    if fmt != "pretty":
+        assert all(text.count("\n") == 1 and text.endswith("\n") for text in writes)
+
+
 def test_importing_the_cli_loads_no_process_pool():
     src = str(Path(kendallcodes.__file__).resolve().parents[1])
     probe = (

@@ -164,6 +164,15 @@ out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_GR
 @example(1, MAX_GROUP_N)
 @example(9973, MAX_GROUP_N)
 @example(2 * 9973, MAX_GROUP_N)
+# the walk over a block leaves what is left of its gcd when that is one
+# sieve prime above the bound (101 at 100, 103 at 102), ends with the gcd
+# used up at the block's last prime (311), and takes a composite gcd's last
+# prime once divisions leave it alone (2 * 3 * 307, then 3 * 307, then 307)
+@example(2 * 101 * 10007, 100)
+@example(101 * 103 * 10007, 102)
+@example(2 * 311 * 10007, 310)
+@example(2 * 311 * 10007, 311)
+@example(2 * 3 * 307 * 10007, MAX_GROUP_N)
 def test_split_and_roughness_match_plain_trial_division(value, bound):
     smooth, cofactor = trial_division_split(value, bound)
     assert factorize(value, bound) == (smooth, cofactor)
