@@ -150,9 +150,10 @@ def check_certificate(cert: Certificate) -> bool:
     same walk multiplies out the smooth part.  That part must divide the
     ball, and the cofactor, their quotient, must be 1 or exceed n and
     have no prime factor up to min(n, sqrt(cofactor)), by
-    :func:`~kendallcodes.numtheory.is_rough`: one gcd with the product of
-    the sieve's blocks of primes before the bound's own block and one
-    with that block's product, not ``factorize``'s block walk.
+    :func:`~kendallcodes.numtheory.is_rough`: exactly two gcds, one with
+    the product of the sieve's blocks of primes before the bound's own
+    block and one with that block's product up to the bound, not
+    ``factorize``'s block walk.
     The verdict and witness must then be the ones ``certify`` derives
     from that split.  n! is never built.
 

@@ -9,15 +9,18 @@ Nothing is left to chance or to a budget: the cofactor is never split
 further, because its primes cannot divide n! anyway.
 
 Large bounds reach many primes that almost never divide, so the sieve's
-primes are grouped into blocks of 64, the last block fewer, each with its
-product and the product of every prime before it, built at import.  One
-gcd with a block's product names the block's primes that divide a value,
-so `factorize` skips a block whose gcd is 1, walks every other block's
-primes only until that gcd is used up or one sieve prime, and stops at
-the first block whose first prime squared exceeds what is left.
-`is_rough` tests every prime up to a bound with two gcds, one against a
-running product and one against the bound's own block (Bernstein, "How
-to find smooth parts of integers", 2004).
+primes are grouped into blocks of 64, the last block fewer.  Built at
+import are the product of every prime before each block and, for each
+prime, the product of its block's primes up to it, so the primes of a
+block up to any bound have one product.  One gcd with that product names
+the primes up to the bound that divide a value, so `factorize` skips a
+block whose gcd is 1, walks every other block's primes only until that
+gcd is used up or one sieve prime, and stops at the first block whose
+first prime squared exceeds what is left.  `is_rough` tests every prime
+up to a bound with exactly two gcds, one against the running product of
+the blocks before the bound's own block and one against that block's
+product up to the bound (Bernstein, "How to find smooth parts of
+integers", 2004).
 
 Every prime the package tests is at most n <= `MAX_GROUP_N`, so
 primality is membership in that same sieve, exact with no assumption;
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 
 __all__ = [
     "Factorization",
@@ -62,10 +65,14 @@ _PRIMES = tuple(compress(range(MAX_GROUP_N + 1), _SIEVE))
 # On t <= 5 balls up to n = 10 000, blocks of 64 or 96 primes split
 # fastest; 32, 48 and 128 were slower.
 _BLOCK = 64
-_STARTS = tuple(range(0, len(_PRIMES), _BLOCK))
+_STARTS = range(0, len(_PRIMES), _BLOCK)
+# _BLOCK_PREFIXES[i] is the product of _PRIMES[i]'s block up to _PRIMES[i]; about 100 KiB.
+_BLOCK_PREFIXES = tuple(
+    chain.from_iterable(accumulate(_PRIMES[start : start + _BLOCK], operator.mul) for start in _STARTS)
+)
 # (start, stop, product, first prime squared) per block of _PRIMES[start:stop]
 _BLOCKS = tuple(
-    (start, stop, math.prod(_PRIMES[start:stop]), _PRIMES[start] ** 2)
+    (start, stop, _BLOCK_PREFIXES[stop - 1], _PRIMES[start] ** 2)
     for start, stop in zip(_STARTS, (*_STARTS[1:], len(_PRIMES)))
 )
 # _RUNNING_PRODUCTS[k] is the product of the primes in the first k blocks; about 18 KB.
@@ -99,10 +106,11 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
 
     One loop over the blocks of sieve primes up to ``bound``.  It stops
     at the first block whose first prime squared exceeds what is left,
-    which is then 1 or a prime.  Every block costs one gcd h of its
-    product with what is left, and a block with h > 1 is walked prime by
-    prime up to ``bound``: once what is left of h is one sieve prime, it
-    is divided out if at most ``bound`` and the walk stops; before that,
+    which is then 1 or a prime.  Every block costs one gcd h of what is
+    left with the product of its primes up to ``bound`` (the whole block
+    but the bound's own), so every prime of h is at most ``bound``.  A
+    block with h > 1 is walked prime by prime: once what is left of h is
+    one sieve prime, it is divided out and the walk stops; before that,
     each prime p dividing h is divided out and h becomes h / p, until h
     is 1.  After the loop a lone prime up to ``bound`` joins ``smooth``.
     """
@@ -114,14 +122,14 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
     for start, stop, product, first_square in _BLOCKS:
         if start >= count or first_square > v:
             break
-        h = math.gcd(product, v)
+        h = math.gcd(product if stop <= count else _BLOCK_PREFIXES[count - 1], v)
         if h == 1:
             continue
-        # h is squarefree, so one division takes p out of it
-        for p in _PRIMES[start : min(stop, count)]:
+        # h is squarefree, so one division takes p out of it, and its
+        # primes are at most the bound, so it is used up before the walk
+        # passes the bound
+        for p in _PRIMES[start:stop]:
             if h <= MAX_GROUP_N and _SIEVE[h]:
-                if h > bound:
-                    break
                 p = h
             elif h % p:
                 continue
@@ -144,20 +152,17 @@ def factorize(value: int, bound: int) -> tuple[Factorization, int]:
 def is_rough(value: int, bound: int) -> bool:
     """Whether no prime p <= bound divides ``value``, for 0 <= bound <= MAX_GROUP_N.
 
-    Two gcds: one with the running product of the blocks of sieve primes
-    before the bound's own block, the one that holds the first prime past
-    ``bound`` (or the last block), and one with that block's product.
-    Only when the second shares a factor are the block's primes up to
-    ``bound`` tested, against that gcd alone.  Raises ValueError for a
-    bound outside 0..MAX_GROUP_N.
+    Exactly two gcds, with no prime walk: one with the running product of
+    the blocks of sieve primes before the block of the last prime up to
+    ``bound``, and one with that block's product from its first prime up
+    to that prime.  True at once when no prime is at most ``bound``.
+    Raises ValueError for a bound outside 0..MAX_GROUP_N.
     """
     count = _prime_count(bound)
-    k = bisect_right(_STARTS, count) - 1
-    if math.gcd(_RUNNING_PRODUCTS[k], value) > 1:
-        return False
-    start, _, product, _ = _BLOCKS[k]
-    h = math.gcd(product, value)
-    return h == 1 or all(h % p for p in _PRIMES[start:count])
+    return count == 0 or (
+        math.gcd(_RUNNING_PRODUCTS[(count - 1) // _BLOCK], value) == 1
+        and math.gcd(_BLOCK_PREFIXES[count - 1], value) == 1
+    )
 
 
 def factorial_valuation(n: int, p: int) -> int:

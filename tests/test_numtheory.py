@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from kendallcodes.certifier import format_factorization
 from kendallcodes.checker import parse_factorization
 from kendallcodes.numtheory import (
+    _BLOCK_PREFIXES,
     _BLOCKS,
     _PRIMES,
     _RUNNING_PRODUCTS,
@@ -173,6 +174,20 @@ out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=MAX_GR
 @example(2 * 311 * 10007, 310)
 @example(2 * 311 * 10007, 311)
 @example(2 * 3 * 307 * 10007, MAX_GROUP_N)
+# the bound's own block holds primes past the bound, which its prefix
+# product leaves out: 127 and 131 in the first block, around bounds 126
+# and 128, and 9967 and 9973 in the last, short block around 9970
+@example(127 * 131 * 10007, 126)
+@example(127 * 131 * 10007, 128)
+@example(9967 * 9973, 9970)
+# the running product holds the whole block before the bound's own one:
+# 311 ends the first block, and 313 starts the second
+@example(311 * 10007, 313)
+# bounds with no prime (0, 1) or one prime (2) up to them
+@example(6, 0)
+@example(6, 1)
+@example(15, 2)
+@example(6, 2)
 def test_split_and_roughness_match_plain_trial_division(value, bound):
     smooth, cofactor = trial_division_split(value, bound)
     assert factorize(value, bound) == (smooth, cofactor)
@@ -192,6 +207,12 @@ def test_tables_are_the_sieve_primes_and_their_block_products():
     assert len(_RUNNING_PRODUCTS) == len(stops) == 21
     for product, stop in zip(_RUNNING_PRODUCTS, stops):
         assert product == math.prod(SIEVE_PRIMES[:stop])
+    # each prime's prefix of its own block, ending at its block's product
+    assert len(_BLOCK_PREFIXES) == 1229
+    for start, stop, product, _ in _BLOCKS:
+        for i in range(start, stop):
+            assert _BLOCK_PREFIXES[i] == math.prod(SIEVE_PRIMES[start : i + 1])
+        assert _BLOCK_PREFIXES[stop - 1] == product
 
 
 @given(st.integers(max_value=0), bounds)
