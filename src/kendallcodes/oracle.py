@@ -29,11 +29,12 @@ distances): O(n!·|B|) work instead of n!² distance calls.  The search
 enumerates its permutations, so it indexes them and validates only the
 code it returns, which it re-checks by direct distances.  A ball that is
 all of S_n (t at or past the diameter) is not built: the identity alone is
-the code.  The search keeps a count of admissible centers per point and
-undoes its steps in reverse.  It is iterative, expands the lowest point
-with the fewest admissible centers (fail-first, where none and one count
-alike), tries them in lexicographic order and counts every visited state,
-so node counts are reproducible.  No served (n, t) visits more than 720
+the code.  The search keeps a count of admissible centers per point, one
+byte each once the identity is selected, and undoes its steps in reverse.
+It is iterative, expands the lowest point with the fewest admissible
+centers (fail-first, where none and one count alike, found by memchr),
+tries them in lexicographic order and counts every visited state, so
+node counts are reproducible.  No served (n, t) visits more than 720
 states; the one bound, n <= 6, limits building the balls.  The identity
 is always the first codeword, since translating a code keeps distances.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right, insort
 from math import comb, factorial
-from operator import gt, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_HISTOGRAM_N = 10
@@ -199,7 +200,9 @@ def _translated_balls(
     """
     index = {pi: i for i, pi in enumerate(perms)}
     relabels = [itemgetter(*(v - 1 for v in x)) for x in ball]  # r(c): x through c
-    return [tuple(sorted([index[r(c)] for r in relabels])) for c in perms]
+    # a column per relabel: the index of r(c) for each c; rows are the balls
+    columns = [map(index.__getitem__, map(r, perms)) for r in relabels]
+    return [tuple(sorted(row)) for row in zip(*columns)]
 
 
 def _exact_cover(balls: list[tuple[int, ...]]) -> tuple[str, list[int], int]:
@@ -208,9 +211,12 @@ def _exact_cover(balls: list[tuple[int, ...]]) -> tuple[str, list[int], int]:
     ``balls`` are symmetric and reflexive sorted tuples.  ``counts`` holds
     each uncovered point's number of alive centers, which by symmetry start
     as its ball, and a selection is undone by replaying it in reverse: the
-    state is O(changes), with no copy per node.
+    state is O(changes), with no copy per node.  Once the identity is
+    selected the counts are bytes, 255 when covered, and an uncovered count
+    of 255 or more raises ValueError.  The search's balls never reach it:
+    they have fewer points, except at (6, 7), where only the reversal lives.
     """
-    covered = len(balls) + 1  # above every count: min() and index() pass it by
+    covered = 255  # above every count once the identity is selected
     counts = [len(ball) for ball in balls]
     alive = [True] * len(balls)
     selected: list[tuple[int, list[int]]] = []  # (center, centers it hid)
@@ -239,18 +245,22 @@ def _exact_cover(balls: list[tuple[int, ...]]) -> tuple[str, list[int], int]:
                 counts[other] += 1
 
     select(0)  # the identity; any perfect code translates to one holding it
+    counts = bytearray(counts)  # one byte a point: refuses a count past 255
+    if counts.count(covered) != len(balls[0]):
+        raise ValueError("an uncovered point has 255 admissible centers")
     # the untried centers of each open choice, deepest last; a loop, not
     # recursion, since (6, 0) opens 720 choices
     choices: list[Iterator[int]] = []
     for nodes in itertools.count(1):
-        fewest = min(counts)
-        if fewest == covered:
-            return FOUND, [center for center, _ in selected], nodes
         # fail-first: the lowest point with the fewest admissible centers,
-        # where none and one count alike
-        point = counts.index(fewest)
-        if not fewest and 1 in counts[:point]:
-            point = counts.index(1)
+        # where none and one count alike; memchr finds each count
+        folded = counts.replace(b"\0", b"\1")
+        for fewest in range(1, covered):
+            point = folded.find(fewest)
+            if point >= 0:
+                break
+        else:
+            return FOUND, [center for center, _ in selected], nodes
         choices.append(iter([c for c in balls[point] if alive[c]]))  # ascending
         while choices and (center := next(choices[-1], None)) is None:
             choices.pop()
@@ -273,12 +283,11 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
     perms = list(itertools.permutations(range(1, n + 1)))
-    # the identity's ball, by inversion count: its distance to each pi
-    ball = [
-        pi
-        for pi in perms
-        if sum(itertools.starmap(gt, itertools.combinations(pi, 2))) <= t
-    ]
+    # the identity's ball, by inversion count: its distance to each pi.  The
+    # Lehmer code of pi (how many smaller values follow each entry) sums to
+    # it, and in lexicographic order the codes count up in mixed radix
+    codes = itertools.product(*map(range, range(n, 0, -1)))
+    ball = [pi for pi, code in zip(perms, codes) if sum(code) <= t]
     order = factorial(n)
     note = ""
     if order % len(ball):

@@ -49,6 +49,8 @@ class Mutant(NamedTuple):
 
 NUMTHEORY = "src/kendallcodes/numtheory.py"
 SPLIT_TESTS = ("tests/test_numtheory.py",)
+ORACLE = "src/kendallcodes/oracle.py"
+SEARCH_TESTS = ("tests/test_oracle.py",)
 MAHONIAN = "src/kendallcodes/mahonian.py"
 BALL_TESTS = ("tests/test_ball_engine.py",)
 # the checker recomputes each ball with ball_count, the engine certify
@@ -106,6 +108,55 @@ MUTANTS = (
         "\n        and math.gcd(_BLOCK_PREFIXES[count - 1], value) == 1\n",
         "\n",
         SPLIT_TESTS,
+    ),
+    Mutant(
+        "numtheory imports re",
+        NUMTHEORY,
+        "import math\n",
+        "import math\nimport re\n",
+        ("tests/test_package.py::test_only_the_checker_imports_re",),
+    ),
+    Mutant(
+        "the cover no longer counts none and one admissible centers alike",
+        ORACLE,
+        'folded = counts.replace(b"\\0", b"\\1")\n        for fewest in range(1, covered):',
+        "folded = counts\n        for fewest in range(covered):",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the cover's smallest-count scan skips count 2",
+        ORACLE,
+        "for fewest in range(1, covered):",
+        "for fewest in (1, *range(3, covered)):",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the cover tries each choice's centers in descending order",
+        ORACLE,
+        "iter([c for c in balls[point] if alive[c]])",
+        "iter([c for c in reversed(balls[point]) if alive[c]])",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the cover's deselect skips the re-increment",
+        ORACLE,
+        "counts[other] += 1",
+        "counts[other] += 0",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the cover takes an uncovered count of 255 for covered",
+        ORACLE,
+        "    if counts.count(covered) != len(balls[0]):\n",
+        "    if False:\n",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "translated balls leave their rows unsorted",
+        ORACLE,
+        "tuple(sorted(row))",
+        "tuple(row)",
+        SEARCH_TESTS,
     ),
     *(Mutant(name, MAHONIAN, old, new, BALL_TESTS) for name, old, new in BALL_ROUTES),
     *(

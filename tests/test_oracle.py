@@ -9,6 +9,7 @@ import math
 import random
 import time
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
@@ -412,19 +413,80 @@ def reference_exact_cover(balls):
         select(center)
 
 
-def searched_balls(monkeypatch, n, t):
-    """The balls ``search_perfect_code(n, t)`` hands the cover, or None if none."""
+def searched_arguments(monkeypatch, name, n, t):
+    """What ``search_perfect_code(n, t)`` passes ``oracle.<name>``, or None if no call."""
     seen = []
 
-    def spy(balls):
-        seen.append(balls)
-        return real(balls)
+    def spy(*arguments):
+        seen.append(arguments)
+        return real(*arguments)
 
-    real = oracle._exact_cover
-    monkeypatch.setattr(oracle, "_exact_cover", spy)
+    real = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, spy)
     search_perfect_code(n, t)
-    monkeypatch.setattr(oracle, "_exact_cover", real)
+    monkeypatch.setattr(oracle, name, real)
     return seen[0] if seen else None
+
+
+def searched_balls(monkeypatch, n, t):
+    """The balls ``search_perfect_code(n, t)`` hands the cover, or None if none."""
+    arguments = searched_arguments(monkeypatch, "_exact_cover", n, t)
+    return None if arguments is None else arguments[0]
+
+
+def reference_translated_balls(perms, ball):
+    """The per-center translate the column build replaced, kept as its oracle.
+
+    Each center's ball is built alone: every relabel of the identity's ball
+    through that center, looked up and sorted.
+    """
+    index = {pi: i for i, pi in enumerate(perms)}
+    relabels = [itemgetter(*(v - 1 for v in x)) for x in ball]  # r(c): x through c
+    return [tuple(sorted([index[r(c)] for r in relabels])) for c in perms]
+
+
+def test_column_translates_match_the_per_center_reference(monkeypatch):
+    # every (n, t) with n <= 6 whose balls are built, then (7, 1) past the
+    # cap; the identity's ball, read from Lehmer codes, is checked by distances
+    def check(n, t, perms, ball):
+        assert perms == symmetric_group(n), (n, t)
+        assert ball == [pi for pi in perms if kendall_distance(perms[0], pi) <= t], (n, t)
+        expected = reference_translated_balls(perms, ball)
+        assert oracle._translated_balls(perms, ball) == expected, (n, t)
+
+    runs = 0
+    for n in range(2, 7):
+        for t in range(max_distance(n) + 1):
+            arguments = searched_arguments(monkeypatch, "_translated_balls", n, t)
+            if arguments is not None:
+                check(n, t, *arguments)
+                runs += 1
+    assert runs == 11
+    monkeypatch.setattr(oracle, "MAX_SEARCH_N", 7)
+    check(7, 1, *searched_arguments(monkeypatch, "_translated_balls", 7, 1))
+
+
+def clique_family(size):
+    """Point 0 alone, then points 1..size all pairwise adjacent.
+
+    Once the identity, point 0, is selected, each other point keeps all
+    ``size`` centers of the clique as its count.
+    """
+    clique = tuple(range(1, size + 1))
+    return [(0,), *[clique] * size]
+
+
+@pytest.mark.parametrize("size", [255, 599])
+def test_cover_refuses_counts_past_a_byte(size):
+    # one byte a point holds 0..254 and the covered mark 255; a family
+    # whose counts do not fit raises and never answers
+    with pytest.raises(ValueError):
+        oracle._exact_cover(clique_family(size))
+
+
+def test_cover_serves_counts_up_to_254():
+    balls = clique_family(254)
+    assert oracle._exact_cover(balls) == reference_exact_cover(balls) == (FOUND, [0, 1], 2)
 
 
 def random_ball_family(rng):
