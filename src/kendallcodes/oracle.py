@@ -12,18 +12,20 @@ from a caller, and ``kendall_distance`` measures two of them by counting
 inversions with binary insertion (``bisect``): its list shifts are
 quadratic in n, but it beats a merge sort below n of about 35 000.
 
-One streaming kernel, ``inversion_histogram(n)``, counts the inversions
-of every permutation of [n]; ``ball_census`` sums a prefix of it.  It
-walks S_n by plain changes, where each step swaps one adjacent pair, so
-comparing that pair moves the running inversion count by exactly one.
-The walk follows the recursive definition (Steinhaus-Johnson-Trotter;
-TAOCP 7.2.1.2): the largest item sweeps across the others while they
-stay put, and between its sweeps the others take one plain change of
-their own.  S_n is never materialised.
+One brute-force kernel, ``_inversion_counts(n)``, measures the distance
+from the identity to every permutation of [n] by comparing every pair of
+positions; ``inversion_histogram`` counts its bytes and ``ball_census``
+sums a prefix of them.  It holds S_m in lexicographic order as m byte
+columns, column c holding entry c of every permutation, and reads each
+column as an int with one byte lane per permutation, so one subtraction
+compares a pair of positions in every permutation at once.  Entries and
+counts stay below 128 (n <= 10, D <= 45), so no borrow or carry crosses
+a lane.  S_n comes in chunks of every permutation with a fixed prefix, at
+most 7! = 5 040 permutations at a time, never all at once.
 
 The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
 radius-t balls, whose partitions of S_n are the perfect codes.  The ball
-around the identity is measured once by counting inversions, and the ball
+around the identity is read once from the same kernel, and the ball
 around ``c`` is its translate, relabelled through ``c`` (relabelling keeps
 distances): O(n!·|B|) work instead of n!² distance calls.  The search
 enumerates its permutations, so it indexes them and validates only the
@@ -49,6 +51,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_HISTOGRAM_N = 10
 MAX_SEARCH_N = 6
+_CHUNK_N = 7  # a histogram chunk holds at most 7! permutations
 
 FOUND = "FOUND"
 EXHAUSTED_NONE = "EXHAUSTED_NONE"
@@ -113,39 +116,58 @@ class CodeSearchResult(NamedTuple):
     note: str = ""
 
 
-def _plain_changes(n: int) -> Iterator[int]:
-    """Walk S_n by plain changes, yielding where each step swaps.
+def _inversion_counts(n: int) -> Iterator[bytes]:
+    """The inversion count of every permutation of range(n), one byte each.
 
-    Starting from the identity, the 0-based positions k of the n! - 1
-    swaps of entries k and k + 1 visit every permutation of n items once.
-    By the recursive definition (Steinhaus-Johnson-Trotter), the largest
-    item sweeps across the others, leftward and then rightward in turn,
-    and between two sweeps the others take one step of the walk of
-    S_(n-1).  The caller keeps the only copy of the array; the generators
-    nest n deep.
+    The bytes follow ``itertools.permutations(range(n))``, which is
+    lexicographic order, a chunk at a time.  A chunk is every permutation
+    with one fixed prefix: S_m for m = min(n, _CHUNK_N), relabelled to the
+    values the prefix leaves.  So n <= 7 is one chunk, and no chunk holds
+    more than 7! permutations.  S_m is held as m byte columns, column c
+    holding entry c of every permutation, built once per call: each first
+    value, followed by S_(m-1)'s columns relabelled to the values it leaves.
+
+    A column read as an int has one byte lane per permutation.  For
+    positions i < j, ``(((col_i | H) - col_j) & H) >> 7``, with H = 0x80 in
+    every lane, is 1 in each lane where entry i exceeds entry j, and 0
+    elsewhere; the counts are these summed over all pairs.  This is exact
+    only while entries and counts are below 128, which n <= 10 (D <= 45)
+    keeps: each lane's difference then lies in 1..255, so no borrow or
+    carry crosses a lane.
     """
-    if n < 2:
-        return
-    leftward, rightward = range(n - 2, -1, -1), range(n - 1)
-    yield from leftward
-    for step, k in enumerate(_plain_changes(n - 1)):
-        if step % 2:  # the largest item is back at the right end
-            yield k
-            yield from leftward
-        else:  # the largest item is at the left end, the others right of it
-            yield k + 1
-            yield from rightward
+    size = min(n, _CHUNK_N)
+    columns: list[bytes] = []  # S_0: one empty permutation
+    for m in range(1, size + 1):
+        block = len(columns[0]) if columns else 1  # (m - 1)!
+        skips = [bytes(range(v)) + bytes(range(v + 1, 256)) + b"\xff" for v in range(m)]
+        columns = [b"".join(bytes((v,)) * block for v in range(m))] + [
+            b"".join(column.translate(skip) for skip in skips) for column in columns
+        ]
+    lanes = len(columns[0])
+    ones = int.from_bytes(b"\1" * lanes, "little")
+    high = ones << 7  # H
+    for prefix in itertools.permutations(range(n), n - size):
+        rest = bytes(sorted(set(range(n)).difference(prefix))).ljust(256, b"\0")
+        entries = [v * ones for v in prefix] + [
+            int.from_bytes(column.translate(rest), "little") for column in columns
+        ]
+        inversions = 0
+        for i in range(n - 1):
+            left = entries[i] | high
+            for j in range(i + 1, n):
+                inversions += ((left - entries[j]) & high) >> 7
+        yield inversions.to_bytes(lanes, "little")
 
 
 def inversion_histogram(n: int) -> tuple[int, ...]:
     """How many permutations of [n] lie at each distance 0..D from any center.
 
-    Each count is the number of permutations with that many inversions.
-    The walk by plain changes visits every permutation once, and comparing
-    the one adjacent pair each step swaps moves the inversion count by one.
-    One count serves every center: relabelling through a center maps S_n
-    onto itself and keeps every distance, so each center sees the
-    identity's distance distribution.
+    Each count is the number of permutations with that many inversions,
+    counted in the bytes of ``_inversion_counts``: every pair of positions
+    of every permutation is compared, in byte lanes below 128, at most 7!
+    permutations at a time.  One count serves every center: relabelling
+    through a center maps S_n onto itself and keeps every distance, so
+    each center sees the identity's distance distribution.
     """
     if not 2 <= n <= MAX_HISTOGRAM_N:
         raise ValueError(
@@ -153,14 +175,9 @@ def inversion_histogram(n: int) -> tuple[int, ...]:
             f" 2 <= n <= {MAX_HISTOGRAM_N}, got {n}"
         )
     counts = [0] * (comb(n, 2) + 1)
-    counts[0] = 1  # the identity, where the walk starts
-    pi = list(range(n))
-    inversions = 0
-    for k in _plain_changes(n):
-        left, right = pi[k], pi[k + 1]
-        pi[k], pi[k + 1] = right, left
-        inversions += 1 if left < right else -1
-        counts[inversions] += 1
+    for chunk in _inversion_counts(n):
+        for d in range(len(counts)):
+            counts[d] += chunk.count(d)
     return tuple(counts)
 
 
@@ -283,11 +300,9 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
     perms = list(itertools.permutations(range(1, n + 1)))
-    # the identity's ball, by inversion count: its distance to each pi.  The
-    # Lehmer code of pi (how many smaller values follow each entry) sums to
-    # it, and in lexicographic order the codes count up in mixed radix
-    codes = itertools.product(*map(range, range(n, 0, -1)))
-    ball = [pi for pi, code in zip(perms, codes) if sum(code) <= t]
+    # the identity's ball: the kernel's counts come in the same order
+    distances = b"".join(_inversion_counts(n))
+    ball = [pi for pi, d in zip(perms, distances) if d <= t]
     order = factorial(n)
     note = ""
     if order % len(ball):

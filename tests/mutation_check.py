@@ -158,6 +158,27 @@ MUTANTS = (
         "tuple(row)",
         SEARCH_TESTS,
     ),
+    Mutant(
+        "the inversion kernel drops the | H guard, so borrows cross lanes",
+        ORACLE,
+        "left = entries[i] | high",
+        "left = entries[i]",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the inversion kernel's inner pair loop stops one position short",
+        ORACLE,
+        "for j in range(i + 1, n):",
+        "for j in range(i + 1, n - 1):",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the inversion kernel takes its prefixes in reverse order",
+        ORACLE,
+        "for prefix in itertools.permutations(range(n), n - size):",
+        "for prefix in reversed([*itertools.permutations(range(n), n - size)]):",
+        SEARCH_TESTS,
+    ),
     *(Mutant(name, MAHONIAN, old, new, BALL_TESTS) for name, old, new in BALL_ROUTES),
     *(
         Mutant(f"{name}, against the checker", MAHONIAN, old, new, CHECKER_TEST, survives=True)

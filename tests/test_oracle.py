@@ -40,22 +40,22 @@ def test_histogram_golden_values():
 
 
 def test_histogram_matches_recurrence_rows(table60):
-    for n in range(2, 10):
+    for n in range(2, 11):
         assert inversion_histogram(n) == table60.row(n), n
+
+
+def pair_scan_counts(n):
+    """The inversion count of each permutation of range(n), in lexicographic order."""
+    return bytes(
+        sum(pi[i] > pi[j] for i in range(n) for j in range(i + 1, n))
+        for pi in itertools.permutations(range(n))
+    )
 
 
 def pair_scan_histogram(n):
     """Inversion counts of S_n by scanning every pair of every permutation."""
-    counts = [0] * (math.comb(n, 2) + 1)
-    for pi in itertools.permutations(range(n)):
-        inversions = 0
-        for i in range(n - 1):
-            left = pi[i]
-            for right in pi[i + 1 :]:
-                if left > right:
-                    inversions += 1
-        counts[inversions] += 1
-    return tuple(counts)
+    counts = pair_scan_counts(n)
+    return tuple(counts.count(d) for d in range(math.comb(n, 2) + 1))
 
 
 def test_histogram_matches_the_pair_scan():
@@ -63,23 +63,28 @@ def test_histogram_matches_the_pair_scan():
         assert inversion_histogram(n) == pair_scan_histogram(n), n
 
 
-def test_plain_changes_visit_each_permutation_once_by_adjacent_swaps():
+def test_inversion_counts_follow_lexicographic_order(monkeypatch):
     for n in range(1, 8):
-        pi = list(range(n))
-        seen = {tuple(pi)}
-        steps = 0
-        for k in oracle._plain_changes(n):
-            assert 0 <= k < n - 1, (n, k)
-            pi[k], pi[k + 1] = pi[k + 1], pi[k]
-            seen.add(tuple(pi))
-            steps += 1
-        assert steps == math.factorial(n) - 1, n
-        assert len(seen) == math.factorial(n), n
-    # the order too, as Knuth's Algorithm P (TAOCP 7.2.1.2) produces it
-    assert list(oracle._plain_changes(3)) == [1, 0, 1, 0, 1]
-    assert list(oracle._plain_changes(4)) == [
-        2, 1, 0, 2, 0, 1, 2, 0, 2, 1, 0, 2, 0, 1, 2, 0, 2, 1, 0, 2, 0, 1, 2,
-    ]
+        assert b"".join(oracle._inversion_counts(n)) == pair_scan_counts(n), n
+    # chunks of 3! permutations: several chunks, whose prefixes must come in order
+    monkeypatch.setattr(oracle, "_CHUNK_N", 3)
+    for n in (5, 6):
+        chunks = list(oracle._inversion_counts(n))
+        assert len(chunks) == math.factorial(n) // 6, n
+        assert b"".join(chunks) == pair_scan_counts(n), n
+
+
+def test_histogram_holds_at_most_7_factorial_permutations_at_a_time():
+    # 7! one-byte lanes need about 0.17 MB; a single 9! chunk would hold
+    # over 3 MB of columns
+    tracemalloc.start()
+    try:
+        histogram = inversion_histogram(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(histogram) == math.factorial(9)
+    assert peak < 1_000_000, peak
 
 
 def test_histogram_rejects_out_of_range():
@@ -98,8 +103,9 @@ def test_ball_census_golden_values():
 
 
 def test_ball_census_matches_the_table(table60):
-    # every radius; each census walks S_n, about 0.2 s at n = 9 and 2 s at
-    # n = 10, and `verify --n 9` in test_cli checks n = 9 at every radius
+    # every radius; each census enumerates S_n, about 0.03 s at n = 9 and
+    # 0.4 s at n = 10, and `verify --n 9` in test_cli checks n = 9 at every
+    # radius
     for n in range(2, 8):
         for r in range(max_distance(n) + 1):
             assert ball_census(n, r) == ball_size(table60, n, r).value, (n, r)
@@ -447,7 +453,8 @@ def reference_translated_balls(perms, ball):
 
 def test_column_translates_match_the_per_center_reference(monkeypatch):
     # every (n, t) with n <= 6 whose balls are built, then (7, 1) past the
-    # cap; the identity's ball, read from Lehmer codes, is checked by distances
+    # cap; the identity's ball, read from the pair-comparing kernel, is
+    # checked by distances
     def check(n, t, perms, ball):
         assert perms == symmetric_group(n), (n, t)
         assert ball == [pi for pi in perms if kendall_distance(perms[0], pi) <= t], (n, t)
