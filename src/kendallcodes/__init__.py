@@ -72,6 +72,6 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_HOMES})
 
 
-__version__ = "0.16.5"
+__version__ = "0.16.6"
 
 __all__ = [*certifier.__all__, *mahonian.__all__, *numtheory.__all__, *_LAZY_HOMES]

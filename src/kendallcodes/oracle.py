@@ -24,34 +24,39 @@ a lane.  S_n comes in chunks of every permutation with a fixed prefix, at
 most 7! = 5 040 permutations at a time, never all at once.
 
 The perfect-code search is Knuth's Algorithm X (TAOCP 7.2.2.1) over
-radius-t balls, whose partitions of S_n are the perfect codes.  The ball
-around the identity is read once from the same kernel, and the ball
-around ``c`` is its translate, relabelled through ``c`` (relabelling keeps
-distances): O(n!·|B|) work instead of n!² distance calls.  The search
-enumerates its permutations, so it indexes them and validates only the
-code it returns, which it re-checks by direct distances.  A ball that is
-all of S_n (t at or past the diameter) is not built: the identity alone is
-the code.  The search keeps a count of admissible centers per point, one
-byte each once the identity is selected, and undoes its steps in reverse.
-It is iterative, expands the lowest point with the fewest admissible
-centers (fail-first, where none and one count alike, found by memchr),
-tries them in lexicographic order and counts every visited state, so
-node counts are reproducible.  No served (n, t) visits more than 720
-states; the one bound, n <= 6, limits building the balls.  The identity
-is always the first codeword, since translating a code keeps distances.
+radius-t balls, whose partitions of S_n are the perfect codes.  It builds
+S_n's byte columns once and names each permutation by its lexicographic
+index.  The identity's distances are counted from the columns as above,
+and the ball around ``c`` is the identity's ball relabelled through ``c``
+(relabelling keeps distances).  For each x in the identity's ball, every
+center's c∘x is ranked at once, in 16-bit lanes: O(|B|·n²) lane steps
+instead of n!² distance calls.  Permutation tuples are built only for a
+code the search finds, which it re-checks by direct distances.  A ball
+that is all of S_n (t at or past the diameter) is not built: the identity
+alone is the code.  The search keeps a count of admissible centers per
+point, one byte each once the identity is selected, and undoes its steps
+in reverse.  It is iterative, expands the lowest point with the fewest
+admissible centers (fail-first, where none and one count alike, found by
+memchr), tries them in lexicographic order and counts every visited
+state, so node counts are reproducible.  No served (n, t) visits more
+than 720 states; the one bound, n <= 6, limits building the balls.  The
+identity is always the first codeword, since translating a code keeps
+distances.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from bisect import bisect_right, insort
 from math import comb, factorial
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_HISTOGRAM_N = 10
 MAX_SEARCH_N = 6
 _CHUNK_N = 7  # a histogram chunk holds at most 7! permutations
+_BYTES = bytes(range(256))  # the identity translation table
 
 FOUND = "FOUND"
 EXHAUSTED_NONE = "EXHAUSTED_NONE"
@@ -116,6 +121,43 @@ class CodeSearchResult(NamedTuple):
     note: str = ""
 
 
+def _byte_columns(m: int) -> list[bytes]:
+    """S_m in lexicographic order as m byte columns.
+
+    Column c holds entry c of every permutation of range(m), in the order of
+    ``itertools.permutations(range(m))``: each first value, followed by
+    S_(m-1)'s columns relabelled to the values it leaves.
+    """
+    columns: list[bytes] = []  # S_0: one empty permutation
+    for k in range(1, m + 1):
+        block = len(columns[0]) if columns else 1  # (k - 1)!
+        skips = [_BYTES[:v] + _BYTES[v + 1 :] + b"\xff" for v in range(k)]
+        columns = [b"".join(bytes((v,)) * block for v in range(k))] + [
+            b"".join(column.translate(skip) for skip in skips) for column in columns
+        ]
+    return columns
+
+
+def _inversions(entries: list[int], lanes: int) -> bytes:
+    """The inversion count in each byte lane of ``entries``, one int a position.
+
+    For positions i < j, ``(((e_i | H) - e_j) & H) >> 7``, with H = 0x80 in
+    every lane, is 1 in each lane where entry i exceeds entry j, and 0
+    elsewhere; the counts are these summed over all pairs.  This is exact
+    only while entries and counts are below 128, which n <= 10 (D <= 45)
+    keeps: each lane's difference then lies in 1..255, so no borrow or
+    carry crosses a lane.
+    """
+    high = int.from_bytes(b"\x80" * lanes, "little")  # H
+    inversions = 0
+    n = len(entries)
+    for i in range(n - 1):
+        left = entries[i] | high
+        for j in range(i + 1, n):
+            inversions += ((left - entries[j]) & high) >> 7
+    return inversions.to_bytes(lanes, "little")
+
+
 def _inversion_counts(n: int) -> Iterator[bytes]:
     """The inversion count of every permutation of range(n), one byte each.
 
@@ -123,40 +165,21 @@ def _inversion_counts(n: int) -> Iterator[bytes]:
     lexicographic order, a chunk at a time.  A chunk is every permutation
     with one fixed prefix: S_m for m = min(n, _CHUNK_N), relabelled to the
     values the prefix leaves.  So n <= 7 is one chunk, and no chunk holds
-    more than 7! permutations.  S_m is held as m byte columns, column c
-    holding entry c of every permutation, built once per call: each first
-    value, followed by S_(m-1)'s columns relabelled to the values it leaves.
-
-    A column read as an int has one byte lane per permutation.  For
-    positions i < j, ``(((col_i | H) - col_j) & H) >> 7``, with H = 0x80 in
-    every lane, is 1 in each lane where entry i exceeds entry j, and 0
-    elsewhere; the counts are these summed over all pairs.  This is exact
-    only while entries and counts are below 128, which n <= 10 (D <= 45)
-    keeps: each lane's difference then lies in 1..255, so no borrow or
-    carry crosses a lane.
+    more than 7! permutations.  S_m's ``_byte_columns`` are built once per
+    call; each chunk reads them as ints with one byte lane per permutation,
+    adds one constant column per prefix entry, and counts with
+    ``_inversions``, which is exact while counts stay below 128: n <= 10.
     """
     size = min(n, _CHUNK_N)
-    columns: list[bytes] = []  # S_0: one empty permutation
-    for m in range(1, size + 1):
-        block = len(columns[0]) if columns else 1  # (m - 1)!
-        skips = [bytes(range(v)) + bytes(range(v + 1, 256)) + b"\xff" for v in range(m)]
-        columns = [b"".join(bytes((v,)) * block for v in range(m))] + [
-            b"".join(column.translate(skip) for skip in skips) for column in columns
-        ]
+    columns = _byte_columns(size)
     lanes = len(columns[0])
     ones = int.from_bytes(b"\1" * lanes, "little")
-    high = ones << 7  # H
     for prefix in itertools.permutations(range(n), n - size):
         rest = bytes(sorted(set(range(n)).difference(prefix))).ljust(256, b"\0")
         entries = [v * ones for v in prefix] + [
             int.from_bytes(column.translate(rest), "little") for column in columns
         ]
-        inversions = 0
-        for i in range(n - 1):
-            left = entries[i] | high
-            for j in range(i + 1, n):
-                inversions += ((left - entries[j]) & high) >> 7
-        yield inversions.to_bytes(lanes, "little")
+        yield _inversions(entries, lanes)
 
 
 def inversion_histogram(n: int) -> tuple[int, ...]:
@@ -206,32 +229,60 @@ def verify_min_distance(code: Sequence[Sequence[int]], d: int) -> bool:
     return True
 
 
-def _translated_balls(
-    perms: list[Permutation], ball: list[Permutation]
-) -> list[tuple[int, ...]]:
-    """The ball around each of ``perms``, as sorted distinct indices into it.
+def _translated_balls(columns: list[bytes], ball: list[int]) -> list[tuple[int, ...]]:
+    """The ball around each permutation of S_n, as distinct indices in any order.
 
-    ``ball`` is the ball around the identity; the ball around ``c`` is its
-    translate through ``c``, since relabelling values by ``c`` keeps every
-    distance. Relabelling is injective, so the indices are distinct.
+    ``columns`` are S_n's ``_byte_columns`` and ``ball`` the lexicographic
+    indices of the identity's ball.  The ball around ``c`` is every c∘x for
+    x in the identity's ball, since relabelling values through ``c`` keeps
+    every distance, and entry k of c∘x is entry x_k of c.  So the columns
+    reordered by x hold c∘x for every c at once.  Row c lists the
+    lexicographic indices of these, in the ball's order, not sorted;
+    relabelling is injective, so they are distinct.
+
+    Each column is read as an int with one 16-bit lane per permutation.
+    ``(((col_a | H) - col_b) & H) >> 15``, with H = 0x8000 in every lane,
+    is 1 in each lane where entry a exceeds entry b.  The index of p is
+    its rank, the sum over i < j of (n - 1 - i)! times [p_i > p_j], which
+    is exact while ranks fit a lane: n! <= 2^16, so n <= 8.  The lanes are
+    read back through ``array("H")`` in ``sys.byteorder``.
     """
-    index = {pi: i for i, pi in enumerate(perms)}
-    relabels = [itemgetter(*(v - 1 for v in x)) for x in ball]  # r(c): x through c
-    # a column per relabel: the index of r(c) for each c; rows are the balls
-    columns = [map(index.__getitem__, map(r, perms)) for r in relabels]
-    return [tuple(sorted(row)) for row in zip(*columns)]
+    n, count = len(columns), len(columns[0])
+    low = int(sys.byteorder == "big")  # where a native 16-bit lane keeps its low byte
+
+    def widen(column: bytes) -> int:
+        wide = bytearray(2 * count)
+        wide[low::2] = column
+        return int.from_bytes(wide, sys.byteorder)
+
+    high = int.from_bytes(array("H", [0x8000]) * count, sys.byteorder)  # H
+    entries = [widen(column) for column in columns]
+    # greater[a][b]: 1 in each lane where entry a exceeds entry b
+    greater = [[(((a | high) - b) & high) >> 15 for b in entries] for a in entries]
+    weights = [factorial(n - 1 - i) for i in range(n)]
+    ranks = []
+    for x in ball:
+        e = [column[x] for column in columns]
+        rank = 0
+        for i in range(n - 1):
+            row = greater[e[i]]
+            rank += weights[i] * sum(map(row.__getitem__, e[i + 1 :]))
+        ranks.append(array("H", rank.to_bytes(2 * count, sys.byteorder)))
+    return list(zip(*ranks))
 
 
 def _exact_cover(balls: list[tuple[int, ...]]) -> tuple[str, list[int], int]:
     """Partition the points by ``balls``: (outcome, chosen centers, nodes visited).
 
-    ``balls`` are symmetric and reflexive sorted tuples.  ``counts`` holds
-    each uncovered point's number of alive centers, which by symmetry start
-    as its ball, and a selection is undone by replaying it in reverse: the
-    state is O(changes), with no copy per node.  Once the identity is
-    selected the counts are bytes, 255 when covered, and an uncovered count
-    of 255 or more raises ValueError.  The search's balls never reach it:
-    they have fewer points, except at (6, 7), where only the reversal lives.
+    ``balls`` are symmetric and reflexive tuples of distinct points, in any
+    order; each open choice is sorted, so its centers are tried in
+    ascending order.  ``counts`` holds each uncovered point's number of
+    alive centers, which by symmetry start as its ball, and a selection is
+    undone by replaying it in reverse: the state is O(changes), with no
+    copy per node.  Once the identity is selected the counts are bytes, 255
+    when covered, and an uncovered count of 255 or more raises ValueError.
+    The search's balls never reach it: they have fewer points, except at
+    (6, 7), where only the reversal lives.
     """
     covered = 255  # above every count once the identity is selected
     counts = [len(ball) for ball in balls]
@@ -278,7 +329,7 @@ def _exact_cover(balls: list[tuple[int, ...]]) -> tuple[str, list[int], int]:
                 break
         else:
             return FOUND, [center for center, _ in selected], nodes
-        choices.append(iter([c for c in balls[point] if alive[c]]))  # ascending
+        choices.append(iter(sorted([c for c in balls[point] if alive[c]])))
         while choices and (center := next(choices[-1], None)) is None:
             choices.pop()
             if choices:
@@ -299,11 +350,11 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
         raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N}, got {n}")
     if t < 0:
         raise ValueError(f"radius must be nonnegative, got {t}")
-    perms = list(itertools.permutations(range(1, n + 1)))
-    # the identity's ball: the kernel's counts come in the same order
-    distances = b"".join(_inversion_counts(n))
-    ball = [pi for pi, d in zip(perms, distances) if d <= t]
-    order = factorial(n)
+    columns = _byte_columns(n)
+    order = len(columns[0])
+    # the identity's ball, as lexicographic indices
+    distances = _inversions([int.from_bytes(c, "little") for c in columns], order)
+    ball = [k for k, d in enumerate(distances) if d <= t]
     note = ""
     if order % len(ball):
         outcome, centers, nodes = EXHAUSTED_NONE, [], 0
@@ -316,10 +367,11 @@ def search_perfect_code(n: int, t: int) -> CodeSearchResult:
         # the search would find it after building n! identical translates
         outcome, centers, nodes = FOUND, [0], 1
     else:
-        outcome, centers, nodes = _exact_cover(_translated_balls(perms, ball))
+        outcome, centers, nodes = _exact_cover(_translated_balls(columns, ball))
     solution: Optional[tuple[Permutation, ...]] = None
     if outcome == FOUND:
-        solution = tuple(perms[center] for center in centers)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        solution = tuple(map(perms.__getitem__, centers))
         # codewords 2t+1 apart have disjoint balls, and n!/|B| of them cover S_n
         if len(solution) * len(ball) != order or not verify_min_distance(
             solution, 2 * t + 1

@@ -131,10 +131,10 @@ MUTANTS = (
         SEARCH_TESTS,
     ),
     Mutant(
-        "the cover tries each choice's centers in descending order",
+        "the cover leaves each open choice unsorted",
         ORACLE,
+        "iter(sorted([c for c in balls[point] if alive[c]]))",
         "iter([c for c in balls[point] if alive[c]])",
-        "iter([c for c in reversed(balls[point]) if alive[c]])",
         SEARCH_TESTS,
     ),
     Mutant(
@@ -152,10 +152,17 @@ MUTANTS = (
         SEARCH_TESTS,
     ),
     Mutant(
-        "translated balls leave their rows unsorted",
+        "the translates' rank weighs position i by (n - i)!",
         ORACLE,
-        "tuple(sorted(row))",
-        "tuple(row)",
+        "factorial(n - 1 - i)",
+        "factorial(n - i)",
+        SEARCH_TESTS,
+    ),
+    Mutant(
+        "the translates' rank comparison drops the | H guard",
+        ORACLE,
+        "(((a | high) - b) & high) >> 15",
+        "((a - b) & high) >> 15",
         SEARCH_TESTS,
     ),
     Mutant(

@@ -246,24 +246,34 @@ def test_search_exhausts_without_a_code():
         assert certify(n, 1).verdict == INCONCLUSIVE
 
 
+def byte_columns(n):
+    """S_n in lexicographic order as columns of zero-based entries."""
+    return [bytes(v - 1 for v in column) for column in zip(*symmetric_group(n))]
+
+
 def test_translated_balls_equal_pairwise_balls():
+    # rows come in the ball's order; sorted, they are the pairwise balls
     for n in range(2, 6):
         perms = symmetric_group(n)
+        columns = oracle._byte_columns(n)
+        assert columns == byte_columns(n), n
         distances = [[kendall_distance(pi, other) for other in perms] for pi in perms]
         for t in range(max_distance(n) + 1):
             pairwise = [
                 tuple(i for i, d in enumerate(row) if d <= t) for row in distances
             ]
-            ball = [pi for pi in perms if kendall_distance(perms[0], pi) <= t]
-            assert oracle._translated_balls(perms, ball) == pairwise, (n, t)
+            ball = [i for i, d in enumerate(distances[0]) if d <= t]
+            balls = oracle._translated_balls(columns, ball)
+            assert [tuple(sorted(row)) for row in balls] == pairwise, (n, t)
 
 
 def test_found_codes_are_rechecked_by_distances(monkeypatch):
     # forged balls that cut S_4 into consecutive blocks of four make the cover
     # accept the first permutation of each block as a "code" of the right
     # size; the distance re-check refuses it
-    def blocks(perms, ball):
-        return [tuple(range(i - i % 4, i - i % 4 + 4)) for i in range(len(perms))]
+    def blocks(columns, ball):
+        order = math.factorial(len(columns))
+        return [tuple(range(i - i % 4, i - i % 4 + 4)) for i in range(order)]
 
     monkeypatch.setattr(oracle, "_translated_balls", blocks)
     with pytest.raises(AssertionError, match="not perfect"):
@@ -453,13 +463,17 @@ def reference_translated_balls(perms, ball):
 
 def test_column_translates_match_the_per_center_reference(monkeypatch):
     # every (n, t) with n <= 6 whose balls are built, then (7, 1) past the
-    # cap; the identity's ball, read from the pair-comparing kernel, is
-    # checked by distances
-    def check(n, t, perms, ball):
-        assert perms == symmetric_group(n), (n, t)
-        assert ball == [pi for pi in perms if kendall_distance(perms[0], pi) <= t], (n, t)
-        expected = reference_translated_balls(perms, ball)
-        assert oracle._translated_balls(perms, ball) == expected, (n, t)
+    # cap, where 7! = 5 040 ranks fill 16-bit lanes; the identity's ball,
+    # read from the pair-comparing kernel, is checked by distances
+    def check(n, t, columns, ball):
+        perms = symmetric_group(n)
+        assert columns == byte_columns(n), (n, t)
+        assert ball == [
+            i for i, pi in enumerate(perms) if kendall_distance(perms[0], pi) <= t
+        ], (n, t)
+        expected = reference_translated_balls(perms, [perms[i] for i in ball])
+        balls = oracle._translated_balls(columns, ball)
+        assert [tuple(sorted(row)) for row in balls] == expected, (n, t)
 
     runs = 0
     for n in range(2, 7):
@@ -558,6 +572,17 @@ def test_counting_cover_matches_the_set_reference_on_random_families():
     # both outcomes, and searches that backtrack, not only one-node answers
     assert outcomes == {FOUND, EXHAUSTED_NONE}
     assert deep >= 20, deep
+
+
+def test_cover_takes_balls_in_any_order():
+    # the translates list each ball in the identity's ball order, not sorted;
+    # the cover sorts each open choice, so shuffled balls change no outcome,
+    # code or node count
+    rng = random.Random(45)
+    for _ in range(200):
+        balls = random_ball_family(rng)
+        shuffled = [tuple(rng.sample(ball, len(ball))) for ball in balls]
+        assert oracle._exact_cover(shuffled) == reference_exact_cover(balls), balls
 
 
 def test_cover_backtracks_in_place(monkeypatch):
